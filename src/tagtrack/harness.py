@@ -87,8 +87,14 @@ class ScenarioConfig:
             for xy in self.tag_positions:
                 if not self.area.contains(xy):
                     raise ConfigError(f"tag position {tuple(xy)} outside the mission area")
-        if self.tag_frequencies_mhz is not None and len(self.tag_frequencies_mhz) != self.num_tags:
-            raise ConfigError("tag_frequencies_mhz length must equal num_tags")
+        if not math.isfinite(self.tag_height):
+            raise ConfigError(f"tag_height_m must be finite, got {self.tag_height}")
+        if self.tag_frequencies_mhz is not None:
+            if len(self.tag_frequencies_mhz) != self.num_tags:
+                raise ConfigError("tag_frequencies_mhz length must equal num_tags")
+            for f in self.tag_frequencies_mhz:
+                if not (math.isfinite(f) and f > 0.0):
+                    raise ConfigError(f"tag frequencies must be finite and positive, got {f} MHz")
         if not self.area.contains(self.uav_start_xy):
             raise ConfigError("uav_start lies outside the mission area")
         if self.belief_init_mode not in ("uniform", "at_truth"):

@@ -8,6 +8,18 @@ The received power at the observer from a tag at 3D distance d is
 where dphi is the phase lag of the ground-reflected ray relative to line of sight
 (image-method path lengths) and G_refl is the ground reflection coefficient, either
 a constant or the horizontal-polarization Fresnel coefficient of the incidence angle.
+
+The particle kernel evaluates this in one pass without angles. For the default
+pattern the relative azimuth enters only through
+
+    cos(phi) = (dx*cos(heading) + dy*sin(heading)) / rh
+
+with (dx, dy) the horizontal offset from the observer to the tag and rh its length.
+A tag straight below the observer (rh = 0) takes cos(phi) = cos(heading), the value
+of atan2(0, 0) = 0. The Fresnel coefficient uses sin(psi) = (z_tag + z_obs) / d_ref
+and cos(psi)^2 = rh^2 / d_ref^2, and path loss and multipath share one logarithm,
+5*n*log10(|1 + G_refl*exp(-j*dphi)|^2 / d^2). Only an antenna table needs the azimuth
+angle itself.
 """
 
 from __future__ import annotations
@@ -56,6 +68,10 @@ class PropagationConfig:
     noise_var: float = 25.0  # dB^2
 
     def __post_init__(self):
+        for name in ("p0_dbm", "path_loss_n", "wavelength", "reflection_gamma",
+                     "rel_permittivity", "antenna_gain_max_db", "antenna_floor", "noise_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (2.0 <= self.path_loss_n <= 4.0):
             raise ValueError(f"path_loss_n must lie in [2, 4], got {self.path_loss_n}")
         if self.noise_var <= 0.0:
@@ -85,6 +101,21 @@ class Measurement:
     time_step: int = 0
 
 
+def _pattern_db(cfg: PropagationConfig, cos_phi: np.ndarray) -> np.ndarray:
+    """Default two-element pattern in dB from the cosine of the relative azimuth.
+
+    Overwrites `cos_phi`.
+    """
+    lobe = cos_phi
+    lobe += 1.0
+    lobe *= 0.5
+    np.maximum(lobe, cfg.antenna_floor, out=lobe)
+    gain = np.log10(lobe, out=lobe)
+    gain *= 20.0
+    gain += cfg.antenna_gain_max_db
+    return gain
+
+
 def antenna_gain_db(cfg: PropagationConfig, rel_azimuth) -> np.ndarray:
     """Directional gain in dB as a function of azimuth relative to the heading."""
     phi = np.asarray(rel_azimuth, dtype=float) % (2.0 * math.pi)
@@ -96,8 +127,13 @@ def antenna_gain_db(cfg: PropagationConfig, rel_azimuth) -> np.ndarray:
         ang = np.concatenate([ang, [ang[0] + 2.0 * math.pi]])
         gain = np.concatenate([gain, [gain[0]]])
         return np.interp(phi, ang, gain)
-    lobe = np.maximum(cfg.antenna_floor, 0.5 * (1.0 + np.cos(phi)))
-    return cfg.antenna_gain_max_db + 20.0 * np.log10(lobe)
+    return _pattern_db(cfg, np.asarray(np.cos(phi)))
+
+
+def _fresnel_gamma(cfg: PropagationConfig, sin_psi, cos2_psi):
+    """Horizontal-polarization Fresnel coefficient from sin(psi) and cos(psi)^2."""
+    root = np.sqrt(cfg.rel_permittivity - cos2_psi)
+    return (sin_psi - root) / (sin_psi + root)
 
 
 def reflection_coefficient(cfg: PropagationConfig, psi) -> np.ndarray:
@@ -105,38 +141,60 @@ def reflection_coefficient(cfg: PropagationConfig, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     if cfg.reflection_mode == "constant":
         return np.full_like(psi, cfg.reflection_gamma)
-    # Fresnel, horizontal polarization
-    root = np.sqrt(cfg.rel_permittivity - np.cos(psi) ** 2)
-    return (np.sin(psi) - root) / (np.sin(psi) + root)
+    return _fresnel_gamma(cfg, np.sin(psi), np.cos(psi) ** 2)
 
 
 def _model_power(positions, uav: UavState, cfg: PropagationConfig):
     """Mean received power (dBm) for tag positions (..., 3); also returns 3D distance.
 
-    Entries at zero distance are computed against a dummy distance of 1 m; callers
-    must inspect the returned distances.
+    Entries at zero distance are not finite; callers must inspect the returned
+    distances.
     """
     pos = np.asarray(positions, dtype=float)
-    diff = pos - uav.position
-    d3 = np.sqrt(np.sum(diff * diff, axis=-1))
-    rh = np.hypot(diff[..., 0], diff[..., 1])
-    z_sum = pos[..., 2] + uav.position[2]  # image method: reflect the tag in the ground
+    batch = pos.shape[:-1]
+    pos = pos.reshape(-1, 3)
+    ux, uy, uz = uav.position
+    dx = pos[:, 0] - ux
+    dy = pos[:, 1] - uy
+    rh2 = dx * dx + dy * dy
+    dz = pos[:, 2] - uz
+    d_sq = rh2 + dz * dz
+    d3 = np.sqrt(d_sq)
+    z_sum = pos[:, 2] + uz  # image method: reflect the tag in the ground
+    dref_sq = rh2 + z_sum * z_sum
+    d_ref = np.sqrt(dref_sq)
 
-    d_safe = np.where(d3 > 0.0, d3, 1.0)
-    d_ref = np.sqrt(rh * rh + z_sum * z_sum)
-    dphi = 2.0 * math.pi * (d_ref - d3) / cfg.wavelength
-    psi = np.arctan2(z_sum, rh)
-    gamma = reflection_coefficient(cfg, psi)
-    # |1 + gamma*exp(-j*dphi)|^2 = 1 + 2*gamma*cos(dphi) + gamma^2
-    mp_sq = 1.0 + 2.0 * gamma * np.cos(dphi) + gamma * gamma
-    with np.errstate(divide="ignore"):
-        multipath = 5.0 * cfg.path_loss_n * np.log10(mp_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # |1 + gamma*exp(-j*dphi)|^2 = 1 + 2*gamma*cos(dphi) + gamma^2
+        cos_dphi = d_ref - d3
+        cos_dphi *= 2.0 * math.pi / cfg.wavelength
+        np.cos(cos_dphi, out=cos_dphi)
+        if cfg.reflection_mode == "constant":
+            g = cfg.reflection_gamma
+            mp_sq = cos_dphi
+            mp_sq *= 2.0 * g
+            mp_sq += 1.0 + g * g
+        else:
+            gamma = _fresnel_gamma(cfg, z_sum / d_ref, rh2 / dref_sq)
+            mp_sq = 1.0 + 2.0 * gamma * cos_dphi + gamma * gamma
+        # -10*n*log10(d) + 5*n*log10(mp_sq) in one log; mp_sq >= (1 - |gamma|)^2, so
+        # the ratio stays a normal float out to distances far beyond any mission area
+        h = mp_sq
+        h /= d_sq
+        np.log10(h, out=h)
+        h *= 5.0 * cfg.path_loss_n
 
-    azim = np.arctan2(diff[..., 1], diff[..., 0]) - uav.heading
-    gain = antenna_gain_db(cfg, azim)
-
-    h = cfg.p0_dbm - 10.0 * cfg.path_loss_n * np.log10(d_safe) + gain + multipath
-    return h, d3
+        if cfg.antenna_table is None:
+            ch, sh = math.cos(uav.heading), math.sin(uav.heading)
+            cos_phi = dx * ch + dy * sh
+            cos_phi /= np.sqrt(rh2)
+            if not rh2.all():
+                cos_phi[rh2 == 0.0] = ch  # straight below: atan2(0, 0) = 0
+            h += _pattern_db(cfg, cos_phi)
+        else:
+            h += antenna_gain_db(cfg, np.arctan2(dy, dx) - uav.heading)
+    h += cfg.p0_dbm
+    return h.reshape(batch), d3.reshape(batch)
 
 
 def received_power_array(positions, uav: UavState, cfg: PropagationConfig) -> np.ndarray:
@@ -172,9 +230,13 @@ def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: Propagation
     global _likelihood_calls
     _likelihood_calls += 1
     h, d3 = _model_power(positions, uav, cfg)
-    res = rssi - h
-    ll = -0.5 * math.log(2.0 * math.pi * cfg.noise_var) - res * res / (2.0 * cfg.noise_var)
-    return np.where(d3 > 0.0, ll, -np.inf)
+    ll = np.subtract(rssi, h, out=h)
+    ll *= ll
+    ll *= -0.5 / cfg.noise_var
+    ll += -0.5 * math.log(2.0 * math.pi * cfg.noise_var)
+    if not d3.all():
+        ll[d3 == 0.0] = -np.inf
+    return ll
 
 
 def log_likelihood(z: Measurement, particle: ObjectState, uav: UavState, cfg: PropagationConfig) -> float:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rf
-from .world import Area, ObjectState, TargetDynamics, UavState, random_walk_displacements
+from .world import Area, ObjectState, TargetDynamics, UavState
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class ObjectBelief:
 
     particles: (N, 3) positions in meters; weights: (N,) non-negative, summing to 1.
     `diverged` flags that the latest update underflowed and was reset to uniform.
+
+    The weighted mean and spread are computed once and kept until `particles` or
+    `weights` is reassigned; change the arrays by reassigning them, not in place.
     """
 
     tag_id: int
@@ -38,6 +41,26 @@ class ObjectBelief:
     weights: np.ndarray
     localized: bool = False
     diverged: bool = False
+    _summary: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name in ("particles", "weights"):
+            object.__setattr__(self, "_summary", None)
+        object.__setattr__(self, name, value)
+
+    def summary(self) -> tuple[np.ndarray, float]:
+        """(weighted mean, spread), where the spread is the maximum per-axis weighted
+        standard deviation about the mean (two-pass, so tight beliefs keep their digits)."""
+        if self._summary is None:
+            mean = self.weights @ self.particles
+            dev = np.empty_like(self.particles)
+            # per column: an (N, 3) - (3,) broadcast loops three elements at a time
+            for axis in range(dev.shape[1]):
+                np.subtract(self.particles[:, axis], mean[axis], out=dev[:, axis])
+            dev *= dev
+            var = self.weights @ dev
+            self._summary = (mean, float(np.sqrt(np.max(var))))
+        return self._summary
 
 
 def init_belief(
@@ -82,10 +105,23 @@ def predict(
     rng: np.random.Generator,
     area: Area | None = None,
 ) -> ObjectBelief:
-    """Propagate every particle through the random-walk transition; weights unchanged."""
-    pts = belief.particles + random_walk_displacements(len(belief.particles), dyn, rng)
+    """Propagate every particle through the random-walk transition; weights unchanged.
+
+    Consumes the same (N, 3) standard normals as `random_walk_displacements`, so the
+    random stream and the result match it bit for bit, but moves only x and y:
+    TargetDynamics rejects z noise.
+    """
+    old = belief.particles
+    pts = rng.standard_normal((len(old), 3))  # the draws become the new particles
+    # column by column: numpy loops over an (N, 2) view two elements at a time
+    for axis in (0, 1):
+        col = pts[:, axis]
+        col *= np.sqrt(dyn.q_diag[axis])
+        col += old[:, axis]
+    pts[:, 2] = old[:, 2]
     if area is not None:
-        pts[:, :2] = area.clamp(pts[:, :2])
+        np.clip(pts[:, 0], area.x_min, area.x_max, out=pts[:, 0])
+        np.clip(pts[:, 1], area.y_min, area.y_max, out=pts[:, 1])
     return replace(belief, particles=pts)
 
 
@@ -142,15 +178,12 @@ def resample_if_needed(
 
 def estimate(belief: ObjectBelief) -> ObjectState:
     """Weighted mean of the particles."""
-    return ObjectState(position=belief.weights @ belief.particles, tag_id=belief.tag_id)
+    return ObjectState(position=belief.summary()[0].copy(), tag_id=belief.tag_id)
 
 
 def uncertainty(belief: ObjectBelief) -> float:
     """Belief spread: the maximum of the per-axis weighted standard deviations."""
-    mean = belief.weights @ belief.particles
-    dev = belief.particles - mean
-    var = belief.weights @ (dev * dev)
-    return float(np.sqrt(np.max(var)))
+    return belief.summary()[1]
 
 
 def mark_localized(belief: ObjectBelief, cfg: TrackerConfig) -> ObjectBelief:

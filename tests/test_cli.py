@@ -112,6 +112,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"tag_frequencies_mhz": [150.0, 0.0]}, "tag frequencies"),
+    ({"tag_frequencies_mhz": [150.0, -150.0]}, "tag frequencies"),
+    ({"rf": {"noise_var_db2": float("nan")}}, "noise_var"),
+    ({"rf": {"wavelength_m": float("nan")}}, "wavelength"),
+    ({"tag_height_m": float("nan")}, "tag_height_m"),
+], ids=["zero_frequency", "negative_frequency", "nan_noise_var", "nan_wavelength",
+        "nan_tag_height"])
+def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, **overrides)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_void_audit_exit_code(tmp_path, capsys, monkeypatch):
     from tagtrack import harness
 

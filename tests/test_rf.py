@@ -65,6 +65,35 @@ def test_two_ray_matches_complex_oracle_random_geometries():
         want = two_ray_power_oracle(obj.position, uav.position, uav.heading, cfg)
         assert got == pytest.approx(want, abs=1e-9)
 
+    # whole batches in one kernel call, element by element against the oracle:
+    # both reflection modes, with and without an antenna table, several carriers,
+    # headings at and near 0 and 2*pi, and tags straight below the observer (rh = 0)
+    table = ((0.0, 4.0), (math.pi / 2, 0.0), (math.pi, -10.0), (3 * math.pi / 2, 0.0))
+    for mode in ("constant", "fresnel"):
+        for antenna_table in (None, table):
+            for wavelength in (0.33, 2.0, 6.0, float(rng.uniform(0.5, 5.0))):
+                cfg = rf.PropagationConfig(
+                    wavelength=wavelength, reflection_mode=mode,
+                    reflection_gamma=float(rng.uniform(-0.95, 0.95)),
+                    rel_permittivity=float(rng.uniform(2.0, 30.0)),
+                    antenna_table=antenna_table, noise_var=16.0)
+                for heading in (0.0, 1e-12, 2.0 * math.pi - 1e-12, float(rng.uniform(0, 2 * math.pi))):
+                    uav = make_uav(float(rng.uniform(-200, 200)), float(rng.uniform(-200, 200)),
+                                   float(rng.uniform(10, 80)), heading=heading)
+                    pts = np.column_stack([rng.uniform(-500, 500, 200), rng.uniform(-500, 500, 200),
+                                           rng.uniform(0.5, 2.0, 200)])
+                    pts[:3, :2] = uav.position[:2]  # straight below
+                    got = rf.received_power_array(pts, uav, cfg)
+                    want = [two_ray_power_oracle(p, uav.position, uav.heading, cfg) for p in pts]
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+                    # coincident positions still give -inf inside a batch
+                    with_coincident = np.vstack([pts, uav.position])
+                    ll = rf.log_likelihood_array(-70.0, with_coincident, uav, cfg)
+                    assert ll[-1] == -math.inf
+                    np.testing.assert_allclose(
+                        ll[:-1], norm.logpdf(-70.0, loc=got, scale=4.0), rtol=1e-12)
+
 
 def test_multipath_term_bounds():
     gamma = -0.8

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from tagtrack import rf, tracker
-from tagtrack.world import Area, ObjectState, TargetDynamics, UavState
+from tagtrack.world import Area, ObjectState, TargetDynamics, UavState, random_walk_displacements
 
 from oracles import dyadic_weights, posterior_weights_mpmath, weighted_sigma_mpmath
 
@@ -75,6 +76,75 @@ def test_predict_spread_grows_in_expectation():
         if tracker.uncertainty(out) > tracker.uncertainty(base):
             grew += 1
     assert grew > 80  # adding independent jitter almost always widens the spread
+
+
+def test_predict_matches_clamped_random_walk_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n = 500
+    pts = np.column_stack([rng.uniform(0, 100, n), rng.uniform(0, 50, n), np.full(n, 1.5)])
+    pts[:20, 0] = 0.0  # on the edges, so the clamp bites
+    pts[20:40, 1] = 50.0
+    b = belief_from(pts, np.full(n, 1.0 / n))
+    dyn = TargetDynamics(q_diag=np.array([4.0, 0.25, 0.0]))
+    area = Area(0.0, 100.0, 0.0, 50.0)
+    for clamp in (None, area):
+        rng_a = np.random.default_rng(8)
+        rng_b = copy.deepcopy(rng_a)
+        out = tracker.predict(b, dyn, rng_a, clamp)
+        want = pts + random_walk_displacements(n, dyn, rng_b)
+        if clamp is not None:
+            want[:, :2] = area.clamp(want[:, :2])
+        assert out.particles.tobytes() == want.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state  # same draws consumed
+    assert np.array_equal(b.particles, pts)  # the input belief is untouched
+
+
+def fresh_summary(b):
+    """Weighted mean and two-pass spread, computed from scratch."""
+    mean = b.weights @ b.particles
+    dev = b.particles - mean
+    var = b.weights @ (dev * dev)
+    return mean, float(np.sqrt(np.max(var)))
+
+
+def test_summaries_follow_every_belief_change():
+    rng = np.random.default_rng(12)
+    area = Area(0.0, 500.0, 0.0, 500.0)
+    cfg = tracker.TrackerConfig(num_particles=400, sigma_min=60.0)
+    dyn = TargetDynamics()
+    uav = make_uav(250.0, 250.0)
+    rf_cfg = rf.PropagationConfig()
+
+    def check(b):
+        mean, sigma = fresh_summary(b)
+        for _ in range(2):  # the second round reads the kept values
+            np.testing.assert_allclose(tracker.estimate(b).position, mean, rtol=1e-12)
+            assert tracker.uncertainty(b) == pytest.approx(sigma, rel=1e-12)
+
+    b = tracker.init_belief(1, area, 1.0, cfg, rng)
+    check(b)
+    resampled = 0
+    for k in range(40):
+        b = tracker.predict(b, dyn, rng, area)
+        check(b)
+        b = tracker.update(b, rf.Measurement(1, float(rng.uniform(-110.0, -70.0)), k), uav, rf_cfg)
+        check(b)
+        out = tracker.resample_if_needed(b, cfg, rng)
+        resampled += out is not b
+        b = out
+        check(b)
+        b = tracker.mark_localized(b, cfg)
+        check(b)
+    assert resampled > 0 and b.localized
+
+    tracker.estimate(b).position[:] = 0.0  # a caller's copy, not the kept mean
+    check(b)
+    b.weights = dyadic_weights(rng, 400)
+    check(b)
+    b.particles = b.particles + np.array([10.0, -20.0, 0.0])
+    check(b)
+    b.particles = b.particles[::-1].copy()
+    check(b)
 
 
 def test_update_constant_likelihood_keeps_weights():
