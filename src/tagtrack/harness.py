@@ -25,7 +25,7 @@ from .world import (
     target_step,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 HEATMAP_BIN_M = 10.0
 
 
@@ -68,13 +68,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.uav_start_xy is None:
             self.uav_start_xy = (float(self.area.center[0]), float(self.area.center[1]))
-        # keep the single step period authoritative across sub-configs
+        # keep the single step period authoritative: the planner reads VoidConfig's copy
         if self.void.step_period != self.step_period:
             self.void = replace(self.void, step_period=self.step_period)
-        if self.target_dynamics.step_period != self.step_period:
-            self.target_dynamics = replace(self.target_dynamics, step_period=self.step_period)
-        if self.filter_dynamics is not None and self.filter_dynamics.step_period != self.step_period:
-            self.filter_dynamics = replace(self.filter_dynamics, step_period=self.step_period)
 
     def validate(self):
         if self.num_tags < 1:
@@ -103,118 +99,143 @@ class ScenarioConfig:
             raise ConfigError("belief_init_sigma must be non-negative")
 
     def to_dict(self) -> dict:
-        dyn = self.target_dynamics
-        fdyn = self.filter_dynamics
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "area": {"x_min": self.area.x_min, "x_max": self.area.x_max,
-                     "y_min": self.area.y_min, "y_max": self.area.y_max},
-            "num_tags": self.num_tags,
-            "tag_positions": None if self.tag_positions is None
-                             else [[float(p[0]), float(p[1])] for p in self.tag_positions],
-            "tag_height_m": self.tag_height,
-            "tag_frequencies_mhz": None if self.tag_frequencies_mhz is None
-                                   else [float(f) for f in self.tag_frequencies_mhz],
-            "uav_start": {"x": float(self.uav_start_xy[0]), "y": float(self.uav_start_xy[1]),
-                          "heading_rad": self.uav_start_heading},
-            "max_flight_time_s": self.max_flight_time,
-            "step_period_s": self.step_period,
-            "planner": {"kind": self.planner.kind, "alpha": self.planner.alpha,
-                        "void_enabled": self.planner.void_enabled},
-            "void": {"r_min_m": self.void.r_min, "b_min": self.void.b_min,
-                     "horizon_steps": self.void.horizon, "action_count": self.void.action_count},
-            "tracker": {"num_particles": self.tracker.num_particles,
-                        "resample_threshold": self.tracker.resample_threshold,
-                        "sigma_min_m": self.tracker.sigma_min},
-            "rf": {"p0_dbm": self.rf.p0_dbm, "path_loss_n": self.rf.path_loss_n,
-                   "wavelength_m": self.rf.wavelength,
-                   "reflection_mode": self.rf.reflection_mode,
-                   "reflection_gamma": self.rf.reflection_gamma,
-                   "rel_permittivity": self.rf.rel_permittivity,
-                   "antenna_gain_max_db": self.rf.antenna_gain_max_db,
-                   "antenna_floor": self.rf.antenna_floor,
-                   "antenna_table": None if self.rf.antenna_table is None
-                                    else [[a, g] for a, g in self.rf.antenna_table],
-                   "noise_var_db2": self.rf.noise_var},
-            "target_dynamics": {"q_diag_m2": [float(q) for q in dyn.q_diag]},
-            "filter_dynamics": None if fdyn is None else {"q_diag_m2": [float(q) for q in fdyn.q_diag]},
-            "belief_init": {"mode": self.belief_init_mode, "sigma_m": self.belief_init_sigma},
-            "kinematics": {"v_max_mps": self.kinematics.v_max, "accel_mps2": self.kinematics.accel,
-                           "altitude_m": self.kinematics.altitude,
-                           "integration_dt_s": self.kinematics.integration_dt},
-        }
+        return {"schema_version": SCHEMA_VERSION, **_write(self, _SCHEMA)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """Parse the JSON config: absent keys keep the dataclass defaults, and an unknown
+        key or a value not of its attribute's type is a ConfigError naming the key."""
+        base = cls(filter_dynamics=TargetDynamics())  # the defaults, optional section included
+        fields = {}
+        _read(d, _SCHEMA, "", base, fields)
+        start = fields.pop("uav_start_xy", {})
         try:
-            area_d = d.get("area", {})
-            area = Area(**area_d) if area_d else Area()
-            pl = d.get("planner", {})
-            vd = d.get("void", {})
-            tr = d.get("tracker", {})
-            rfd = d.get("rf", {})
-            kin = d.get("kinematics", {})
-            td = d.get("target_dynamics", {})
-            fd = d.get("filter_dynamics")
-            bi = d.get("belief_init", {})
-            start = d.get("uav_start", {})
-            step = float(d.get("step_period_s", 1.0))
-            table = rfd.get("antenna_table")
-            cfg = cls(
-                area=area,
-                num_tags=int(d.get("num_tags", 10)),
-                tag_positions=d.get("tag_positions"),
-                tag_height=float(d.get("tag_height_m", 1.0)),
-                tag_frequencies_mhz=d.get("tag_frequencies_mhz"),
-                uav_start_xy=(float(start.get("x", area.center[0])),
-                              float(start.get("y", area.center[1]))),
-                uav_start_heading=float(start.get("heading_rad", 0.0)),
-                max_flight_time=float(d.get("max_flight_time_s", 3000.0)),
-                step_period=step,
-                seed=int(d.get("seed", 0)),
-                planner=planner_mod.PlannerKind(
-                    kind=pl.get("kind", "lavapilot"),
-                    alpha=float(pl.get("alpha", 0.5)),
-                    void_enabled=bool(pl.get("void_enabled", True))),
-                void=planner_mod.VoidConfig(
-                    r_min=float(vd.get("r_min_m", 50.0)),
-                    b_min=float(vd.get("b_min", 0.8)),
-                    horizon=int(vd.get("horizon_steps", 11)),
-                    step_period=step,
-                    action_count=int(vd.get("action_count", 12))),
-                tracker=tracker_mod.TrackerConfig(
-                    num_particles=int(tr.get("num_particles", 10_000)),
-                    resample_threshold=float(tr.get("resample_threshold", 0.5)),
-                    sigma_min=float(tr.get("sigma_min_m", 35.0))),
-                rf=rf_mod.PropagationConfig(
-                    p0_dbm=float(rfd.get("p0_dbm", -40.0)),
-                    path_loss_n=float(rfd.get("path_loss_n", 3.0)),
-                    wavelength=float(rfd.get("wavelength_m", 2.0)),
-                    reflection_mode=rfd.get("reflection_mode", "constant"),
-                    reflection_gamma=float(rfd.get("reflection_gamma", -0.8)),
-                    rel_permittivity=float(rfd.get("rel_permittivity", 15.0)),
-                    antenna_gain_max_db=float(rfd.get("antenna_gain_max_db", 4.0)),
-                    antenna_floor=float(rfd.get("antenna_floor", 1e-2)),
-                    antenna_table=None if table is None else tuple((float(a), float(g)) for a, g in table),
-                    noise_var=float(rfd.get("noise_var_db2", 25.0))),
-                target_dynamics=TargetDynamics(
-                    q_diag=np.asarray(td.get("q_diag_m2", [1.0, 1.0, 0.0]), dtype=float),
-                    step_period=step),
-                filter_dynamics=None if fd is None else TargetDynamics(
-                    q_diag=np.asarray(fd.get("q_diag_m2", [1.0, 1.0, 0.0]), dtype=float),
-                    step_period=step),
-                belief_init_mode=bi.get("mode", "uniform"),
-                belief_init_sigma=float(bi.get("sigma_m", 1.0)),
-                kinematics=UavKinematics(
-                    v_max=float(kin.get("v_max_mps", 5.0)),
-                    accel=float(kin.get("accel_mps2", 2.5)),
-                    altitude=float(kin.get("altitude_m", 30.0)),
-                    integration_dt=float(kin.get("integration_dt_s", 1e-3))),
-            )
-        except (ValueError, TypeError, KeyError) as exc:
+            for name, value in fields.items():
+                if isinstance(value, dict):  # a sub-config: override its defaults
+                    fields[name] = replace(getattr(base, name), **value)
+            cfg = cls(**fields)
+        except ValueError as exc:  # a dataclass range check
             raise ConfigError(f"invalid configuration: {exc}") from exc
+        cfg.uav_start_xy = tuple(start.get(str(i), v) for i, v in enumerate(cfg.uav_start_xy))
         return cfg
+
+
+# The JSON config schema. Each key names the ScenarioConfig attribute it sets, as
+# "field", "subconfig.field" or "tuple_field.index"; a nested dict is a JSON section.
+# A value's type follows the attribute's default, or its kind in _LISTS.
+_SCHEMA = {
+    "seed": "seed",
+    "area": {"x_min": "area.x_min", "x_max": "area.x_max",
+             "y_min": "area.y_min", "y_max": "area.y_max"},
+    "num_tags": "num_tags",
+    "tag_positions": "tag_positions",
+    "tag_height_m": "tag_height",
+    "tag_frequencies_mhz": "tag_frequencies_mhz",
+    "uav_start": {"x": "uav_start_xy.0", "y": "uav_start_xy.1",
+                  "heading_rad": "uav_start_heading"},
+    "max_flight_time_s": "max_flight_time",
+    "step_period_s": "step_period",
+    "planner": {"kind": "planner.kind", "alpha": "planner.alpha",
+                "void_enabled": "planner.void_enabled"},
+    "void": {"r_min_m": "void.r_min", "b_min": "void.b_min", "horizon_steps": "void.horizon",
+             "action_count": "void.action_count"},
+    "tracker": {"num_particles": "tracker.num_particles",
+                "resample_threshold": "tracker.resample_threshold",
+                "sigma_min_m": "tracker.sigma_min"},
+    "rf": {"p0_dbm": "rf.p0_dbm", "path_loss_n": "rf.path_loss_n",
+           "wavelength_m": "rf.wavelength", "reflection_mode": "rf.reflection_mode",
+           "reflection_gamma": "rf.reflection_gamma", "rel_permittivity": "rf.rel_permittivity",
+           "antenna_gain_max_db": "rf.antenna_gain_max_db", "antenna_floor": "rf.antenna_floor",
+           "antenna_table": "rf.antenna_table", "noise_var_db2": "rf.noise_var"},
+    "target_dynamics": {"q_diag_m2": "target_dynamics.q_diag"},
+    "filter_dynamics": {"q_diag_m2": "filter_dynamics.q_diag"},
+    "belief_init": {"mode": "belief_init_mode", "sigma_m": "belief_init_sigma"},
+    "kinematics": {"v_max_mps": "kinematics.v_max", "accel_mps2": "kinematics.accel",
+                   "altitude_m": "kinematics.altitude"},
+}
+_NUMBERS = "a list of finite numbers"
+_PAIRS = "a list of [number, number] pairs"
+_LISTS = {"tag_positions": _PAIRS, "tag_frequencies_mhz": _NUMBERS, "rf.antenna_table": _PAIRS,
+          "target_dynamics.q_diag": _NUMBERS, "filter_dynamics.q_diag": _NUMBERS}
+_NULLABLE_SECTIONS = ("filter_dynamics",)
+
+
+def _get(cfg: ScenarioConfig, path: str):
+    obj = cfg
+    for part in path.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
+
+
+def _write(cfg: ScenarioConfig, schema: dict) -> dict:
+    out = {}
+    for key, path in schema.items():
+        if isinstance(path, dict):
+            absent = key in _NULLABLE_SECTIONS and getattr(cfg, key) is None
+            out[key] = None if absent else _write(cfg, path)
+        else:
+            value = _get(cfg, path)
+            if value is not None and path in _LISTS:
+                value = np.asarray(value, dtype=float).tolist()
+            out[key] = value
+    return out
+
+
+def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict) -> None:
+    """Check the JSON object `d` against `schema`, collecting each attribute's value
+    in `fields`, and a sub-config field's in `fields[sub-config]`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {d!r}")
+    for key, value in d.items():
+        dotted, path = prefix + key, schema.get(key)
+        if dotted == "schema_version":
+            if value != SCHEMA_VERSION:
+                raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {value!r}")
+        elif path is None:
+            raise ConfigError(f"unknown key {dotted}")
+        elif isinstance(path, dict) and key in _NULLABLE_SECTIONS and value is None:
+            fields[key] = None
+        elif isinstance(path, dict):
+            if key in _NULLABLE_SECTIONS:
+                fields.setdefault(key, {})  # present, so built from the defaults
+            _read(value, path, dotted + ".", base, fields)
+        else:
+            value = _checked(dotted, value, _get(base, path), _LISTS.get(path))
+            name, _, attr = path.partition(".")
+            target = fields.setdefault(name, {}) if attr else fields
+            target[attr or name] = value
+
+
+# -- input checks: JSON values to attribute types
+
+_JSON_TYPES = {bool: "true or false", int: "an integer", str: "a string"}
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _checked(key: str, value, default, kind: str | None):
+    """`value` as the type of `default` (or as the list `kind`), else a ConfigError."""
+    if value is None and default is None:
+        return None
+    if kind is None:
+        if isinstance(default, float):
+            return _number(key, value)  # an integer is a number too
+        if type(value) is not type(default):  # also keeps a bool out of an int
+            raise ConfigError(f"{key} must be {_JSON_TYPES[type(default)]}, got {value!r}")
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    if kind == _NUMBERS:
+        return [_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    for i, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"{key}[{i}] must be a [number, number] pair, got {pair!r}")
+    return tuple((_number(f"{key}[{i}][0]", a), _number(f"{key}[{i}][1]", b))
+                 for i, (a, b) in enumerate(value))
 
 
 def load_config(path: str) -> ScenarioConfig:

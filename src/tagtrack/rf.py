@@ -72,6 +72,8 @@ class PropagationConfig:
                      "rel_permittivity", "antenna_gain_max_db", "antenna_floor", "noise_var"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.antenna_table is not None and not np.all(np.isfinite(self.antenna_table)):
+            raise ValueError(f"antenna_table entries must be finite, got {self.antenna_table}")
         if not (2.0 <= self.path_loss_n <= 4.0):
             raise ValueError(f"path_loss_n must lie in [2, 4], got {self.path_loss_n}")
         if self.noise_var <= 0.0:

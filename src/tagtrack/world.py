@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+EULER_DT_S = 1e-3  # forward-Euler step of the rollout speed profile
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,10 @@ class UavKinematics:
     v_max: float = 5.0
     accel: float = 2.5  # symmetric accelerate/decelerate magnitude
     altitude: float = 30.0
-    integration_dt: float = 1e-3
 
     def __post_init__(self):
         if self.v_max <= 0.0 or self.accel <= 0.0:
             raise ValueError("v_max and accel must be positive")
-        if not (0.0 < self.integration_dt <= 0.01):
-            raise ValueError("integration_dt must be in (0, 0.01] s")
 
 
 @dataclass
@@ -102,7 +100,6 @@ class TargetDynamics:
     """Gaussian random-walk displacement per step; z-axis variance must be zero."""
 
     q_diag: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
-    step_period: float = 1.0
 
     def __post_init__(self):
         self.q_diag = np.asarray(self.q_diag, dtype=float).reshape(3)
@@ -110,8 +107,6 @@ class TargetDynamics:
             raise ValueError("process noise variances must be non-negative")
         if self.q_diag[2] != 0.0:
             raise ValueError("z-axis process noise must be zero (targets stay at fixed height)")
-        if self.step_period <= 0.0:
-            raise ValueError("step_period must be positive")
 
 
 def random_walk_displacements(n: int, dyn: TargetDynamics, rng: np.random.Generator) -> np.ndarray:
@@ -138,16 +133,16 @@ def _trapezoid_samples(
     v0: float,
     v_max: float,
     accel: float,
-    dt: float,
     horizon: int,
     step_period: float,
 ) -> tuple[tuple[float, float], ...]:
     """Integrate the 1D trapezoidal speed profile toward a waypoint at `distance`.
 
-    Forward-Euler at step dt; returns (arc_length, speed) sampled every step_period,
+    Forward-Euler at step EULER_DT_S; returns (arc_length, speed) sampled every step_period,
     horizon samples total. Accelerates at `accel` up to v_max, cruises, and brakes so
     the arc length never exceeds `distance`.
     """
+    dt = EULER_DT_S
     n_fine = max(1, round(step_period / dt))
     s = 0.0
     v = v0
@@ -201,8 +196,7 @@ def uav_rollout(
         unit = delta / dist
         heading = wrap_heading(math.atan2(delta[1], delta[0]))
     samples = _trapezoid_samples(
-        dist, float(current.speed), kin.v_max, kin.accel, kin.integration_dt,
-        int(horizon_steps), float(step_period),
+        dist, float(current.speed), kin.v_max, kin.accel, int(horizon_steps), float(step_period),
     )
     poses = []
     for s, v in samples:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,11 +58,63 @@ def test_compute_rms_trivials():
         harness.compute_rms([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
 
+def json_leaves(d, prefix=""):
+    """{dotted key: value} for every leaf of a JSON config."""
+    out = {}
+    for key, value in d.items():
+        if isinstance(value, dict):
+            out.update(json_leaves(value, prefix + key + "."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
 def test_config_round_trip():
     cfg = small_config(tag_frequencies_mhz=[150.2, 151.7],
                        filter_dynamics=world.TargetDynamics(q_diag=np.array([0.5, 0.5, 0.0])))
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+    every_key = {
+        "schema_version": harness.SCHEMA_VERSION,
+        "seed": 7,
+        "area": {"x_min": -10.0, "x_max": 500.0, "y_min": 5.0, "y_max": 800.0},
+        "num_tags": 2,
+        "tag_positions": [[10.0, 20.0], [30.0, 40.0]],
+        "tag_height_m": 1.5,
+        "tag_frequencies_mhz": [150.1, 151.2],
+        "uav_start": {"x": 100.0, "y": 200.0, "heading_rad": 0.3},
+        "max_flight_time_s": 100.0,
+        "step_period_s": 2.0,
+        "planner": {"kind": "renyi", "alpha": 0.7, "void_enabled": False},
+        "void": {"r_min_m": 40.0, "b_min": 0.7, "horizon_steps": 5, "action_count": 8},
+        "tracker": {"num_particles": 300, "resample_threshold": 0.4, "sigma_min_m": 30.0},
+        "rf": {"p0_dbm": -41.0, "path_loss_n": 2.5, "wavelength_m": 1.9,
+               "reflection_mode": "fresnel", "reflection_gamma": -0.7,
+               "rel_permittivity": 12.0, "antenna_gain_max_db": 3.0, "antenna_floor": 0.02,
+               "antenna_table": [[0.0, 1.0], [3.0, -2.0]], "noise_var_db2": 20.0},
+        "target_dynamics": {"q_diag_m2": [0.5, 0.5, 0.0]},
+        "filter_dynamics": {"q_diag_m2": [2.0, 2.0, 0.0]},
+        "belief_init": {"mode": "at_truth", "sigma_m": 2.0},
+        "kinematics": {"v_max_mps": 4.0, "accel_mps2": 2.0, "altitude_m": 25.0},
+    }
+    # the defaults, with the optional filter_dynamics section present
+    defaults = json_leaves(ScenarioConfig(filter_dynamics=world.TargetDynamics()).to_dict())
+    leaves = json_leaves(every_key)
+    assert leaves.keys() == defaults.keys()
+    assert [k for k in leaves if k != "schema_version" and leaves[k] == defaults[k]] == []
+    cfg = ScenarioConfig.from_dict(every_key)
+    cfg.validate()
+    assert cfg.to_dict() == every_key
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(every_key))).to_dict() == every_key
+
+
+def test_readme_config_block_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    defaults = ScenarioConfig().to_dict()
+    defaults.pop("schema_version")
+    assert json.loads(block) == defaults
 
 
 def test_config_validation_errors():
@@ -77,12 +130,15 @@ def test_config_validation_errors():
         small_config(max_flight_time=-1.0).validate()
     with pytest.raises(harness.ConfigError):
         ScenarioConfig.from_dict({"rf": {"path_loss_n": 9.0}})
+    with pytest.raises(harness.ConfigError):
+        ScenarioConfig.from_dict({"schema_version": 1})
+    with pytest.raises(harness.ConfigError):
+        ScenarioConfig.from_dict({"planner": None})
 
 
 def test_step_period_synchronized():
     cfg = small_config(step_period=2.0)
     assert cfg.void.step_period == 2.0
-    assert cfg.target_dynamics.step_period == 2.0
 
 
 def test_zero_flight_time_gives_empty_record():

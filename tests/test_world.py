@@ -17,7 +17,7 @@ from tagtrack.world import (
 
 from oracles import rollout_positions_oracle
 
-KIN = UavKinematics(v_max=5.0, accel=2.5, altitude=30.0, integration_dt=1e-3)
+KIN = UavKinematics(v_max=5.0, accel=2.5, altitude=30.0)
 
 
 def make_uav(x=0.0, y=0.0, heading=0.0, speed=0.0):
@@ -35,7 +35,7 @@ def test_rollout_zero_displacement_is_identity():
 
 
 def test_rollout_constant_velocity_with_instant_accel():
-    kin = UavKinematics(v_max=5.0, accel=1e9, altitude=30.0, integration_dt=1e-3)
+    kin = UavKinematics(v_max=5.0, accel=1e9, altitude=30.0)
     uav = make_uav()
     poses = uav_rollout(uav, (100.0, 0.0), kin, 11, 1.0)
     for k, p in enumerate(poses, start=1):
@@ -45,7 +45,7 @@ def test_rollout_constant_velocity_with_instant_accel():
 
 
 def test_rollout_matches_fine_step_oracle():
-    kin = UavKinematics(v_max=5.0, accel=2.0, altitude=30.0, integration_dt=1e-3)
+    kin = UavKinematics(v_max=5.0, accel=2.0, altitude=30.0)
     uav = make_uav()
     poses = uav_rollout(uav, (20.0, 0.0), kin, 11, 1.0)
     ref = rollout_positions_oracle((0.0, 0.0), 0.0, (20.0, 0.0),
@@ -174,7 +174,5 @@ def test_dynamics_validation():
         TargetDynamics(q_diag=np.array([-1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         UavKinematics(v_max=0.0)
-    with pytest.raises(ValueError):
-        UavKinematics(integration_dt=0.5)
     with pytest.raises(ValueError):
         Area(1.0, 1.0, 0.0, 2.0)
