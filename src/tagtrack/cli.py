@@ -14,6 +14,9 @@ from . import harness
 from .harness import ConfigError, ScenarioConfig, VoidAuditError
 
 
+BENCH_SIZES = ("particles", "tags", "actions", "horizon")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON scenario config (defaults used when omitted)")
     sub.add_argument("--planner", choices=["lavapilot", "renyi", "shannon"],
@@ -42,10 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--parallel", type=int, default=1, help="worker processes")
 
     bench = subs.add_parser("bench", help="benchmark per-decision planning time")
-    bench.add_argument("--particles", type=int, default=10_000)
-    bench.add_argument("--tags", type=int, default=10)
-    bench.add_argument("--actions", type=int, default=12)
-    bench.add_argument("--horizon", type=int, default=11)
+    # an omitted size keeps harness.bench_planners' default, the default scenario's size
+    for size in BENCH_SIZES:
+        bench.add_argument(f"--{size}", type=int, default=argparse.SUPPRESS)
     bench.add_argument("--reps", type=int, default=20)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", help="also write bench.json under this directory")
@@ -96,8 +98,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    results = harness.bench_planners(args.reps, particles=args.particles, tags=args.tags,
-                                     actions=args.actions, horizon=args.horizon, seed=args.seed)
+    sizes = {size: getattr(args, size) for size in BENCH_SIZES if hasattr(args, size)}
+    results = harness.bench_planners(args.reps, seed=args.seed, **sizes)
     print(f"{'planner':<10} {'mean (s)':>10} {'min (s)':>10} {'max (s)':>10} "
           f"{'median (s)':>11} {'lik calls':>10}")
     for kind in ("lavapilot", "renyi", "shannon"):

@@ -75,6 +75,13 @@ class ScenarioConfig:
     def validate(self):
         if self.num_tags < 1:
             raise ConfigError("num_tags must be >= 1")
+        for key, value in (("tag_height_m", self.tag_height),
+                           ("max_flight_time_s", self.max_flight_time),
+                           ("step_period_s", self.step_period),
+                           ("uav_start.heading_rad", self.uav_start_heading),
+                           ("belief_init.sigma_m", self.belief_init_sigma)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.max_flight_time < 0.0:
             raise ConfigError("max_flight_time must be non-negative")
         if self.tag_positions is not None:
@@ -83,8 +90,6 @@ class ScenarioConfig:
             for xy in self.tag_positions:
                 if not self.area.contains(xy):
                     raise ConfigError(f"tag position {tuple(xy)} outside the mission area")
-        if not math.isfinite(self.tag_height):
-            raise ConfigError(f"tag_height_m must be finite, got {self.tag_height}")
         if self.tag_frequencies_mhz is not None:
             if len(self.tag_frequencies_mhz) != self.num_tags:
                 raise ConfigError("tag_frequencies_mhz length must equal num_tags")
@@ -431,12 +436,9 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                 bound_ok = None
                 if cfg.planner.void_enabled:
                     bound_ok = planner_mod.verify_void_bound(action, cfg.void, beliefs)
-                    if action.fallback:
-                        if action.void_prob < cfg.void.b_min:
-                            violations.append({"k": k, "kind": f"{action.label}_below_bound",
-                                               "void_prob": action.void_prob})
-                    elif not bound_ok:
-                        violations.append({"k": k, "kind": "gated_below_bound",
+                    if not bound_ok:  # a fallback is exempt from the gate, not from the record
+                        kind = action.label if action.fallback else "gated"
+                        violations.append({"k": k, "kind": f"{kind}_below_bound",
                                            "void_prob": action.void_prob})
                 decisions.append(DecisionRecord(k=k, label=action.label, fallback=action.fallback,
                                                 void_prob=action.void_prob, planning_time=plan_time,
@@ -676,15 +678,22 @@ def _bench_snapshot(particles: int, tags: int, seed: int):
     return beliefs, uav, area
 
 
-def bench_planners(repetitions: int, particles: int = 10_000, tags: int = 10,
-                   actions: int = 12, horizon: int = 11, seed: int = 0) -> dict:
-    """Wall-clock per-decision planning time for each planner on identical snapshots."""
-    if repetitions < 10:
-        raise ConfigError("repetitions must be >= 10")
+def bench_planners(repetitions: int, particles: int = tracker_mod.TrackerConfig.num_particles,
+                   tags: int = ScenarioConfig.num_tags,
+                   actions: int = planner_mod.VoidConfig.action_count,
+                   horizon: int = planner_mod.VoidConfig.horizon, seed: int = 0) -> dict:
+    """Wall-clock per-decision planning time for each planner on identical snapshots.
+
+    The sizes default to the default scenario's; a size out of range is a ConfigError.
+    """
+    for name, value, least in (("repetitions", repetitions, 10), ("particles", particles, 1),
+                               ("tags", tags, 1), ("actions", actions, 3), ("horizon", horizon, 1)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
     beliefs, uav, area = _bench_snapshot(particles, tags, seed)
     kin = UavKinematics()
     void_cfg = planner_mod.VoidConfig(horizon=horizon, action_count=actions)
-    rf_cfg = rf_mod.PropagationConfig()
+    rf_cfgs = [rf_mod.PropagationConfig()] * tags
     out = {"meta": {"particles": particles, "tags": tags, "actions": actions,
                     "horizon": horizon, "repetitions": repetitions, "seed": seed}}
     for kind_name in ("lavapilot", "renyi", "shannon"):
@@ -693,7 +702,7 @@ def bench_planners(repetitions: int, particles: int = 10_000, tags: int = 10,
         times = []
         for _ in range(repetitions):
             t_start = time.perf_counter()
-            action = planner_mod.select_action(beliefs, uav, kin, void_cfg, kind, rf_cfg, area)
+            action = planner_mod.select_action(beliefs, uav, kin, void_cfg, kind, rf_cfgs, area)
             times.append(time.perf_counter() - t_start)
         stats = _stats(times)
         out[kind_name] = {
@@ -789,11 +798,3 @@ def export_bench(results: dict, out_dir: str) -> list:
     write_json({"schema_version": SCHEMA_VERSION, "kind": "bench", "results": results}, path)
     return [path]
 
-
-def export(obj, cfg: ScenarioConfig, out_dir: str, fmt: str = "csv") -> list:
-    """Write an object's file outputs under out_dir; dispatches on the object type."""
-    if isinstance(obj, MissionRecord):
-        return export_mission(obj, cfg, out_dir, fmt)
-    if isinstance(obj, McSummary):
-        return export_mc(obj, cfg, out_dir, fmt)
-    raise TypeError(f"cannot export object of type {type(obj).__name__}")

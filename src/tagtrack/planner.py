@@ -8,8 +8,9 @@ lowest belief spread, trying the LOS point A and the two tangent points B, C on 
 object's void circle first, then a discrete set of headings, and accepts the first
 (A/B/C) or the nearest (discrete) candidate whose trajectory keeps the void
 probability above a configured lower bound. Information-gain planners score the
-discrete candidates by Renyi or Shannon belief change from a predicted ideal
-measurement, under the same constraint.
+discrete candidates and stay-in-place by Renyi or Shannon belief change from a
+predicted ideal measurement. All three planners draw their candidates from one
+gated search (`_gated`), so they face the same constraint.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ class VoidConfig:
     action_count: int = 12
 
     def __post_init__(self):
-        if self.r_min <= 0.0:
+        # each check is written so that NaN fails it
+        if not self.r_min > 0.0:
             raise ValueError("r_min must be positive")
         if not (0.0 <= self.b_min <= 1.0):
             raise ValueError("b_min must lie in [0, 1]")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ValueError("horizon must be >= 1")
-        if self.action_count < 3:
+        if not self.action_count >= 3:
             raise ValueError("action_count must be >= 3")
-        if self.step_period <= 0.0:
-            raise ValueError("step_period must be positive")
+        if not 0.0 < self.step_period < math.inf:
+            raise ValueError("step_period must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class PlannerKind:
     def __post_init__(self):
         if self.kind not in ("lavapilot", "renyi", "shannon"):
             raise ValueError(f"unknown planner kind: {self.kind}")
-        if self.kind == "renyi" and (self.alpha <= 0.0 or self.alpha == 1.0):
+        if self.kind == "renyi" and not (0.0 < self.alpha < math.inf and self.alpha != 1.0):
             raise ValueError("renyi alpha must lie in (0,1) or (1,inf)")
 
 
@@ -102,33 +104,27 @@ def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r
     return belief.weights[near] @ inside
 
 
+def _void_per_belief(beliefs, rollout, r_min: float):
+    """Per belief, the minimum void probability over the rollout poses."""
+    xy = _rollout_xy(rollout)
+    px, py = xy[:, 0], xy[:, 1]
+    for belief in beliefs:
+        yield 1.0 - float(np.max(_mass_inside(belief, px, py, r_min)))
+
+
 def void_probability(belief: tracker.ObjectBelief, uav_pose: UavState, r_min: float) -> float:
     """One minus the belief mass inside the pose's void disc."""
-    px = np.array([uav_pose.position[0]])
-    py = np.array([uav_pose.position[1]])
-    return float(1.0 - _mass_inside(belief, px, py, r_min)[0])
+    return trajectory_void_probability([belief], [uav_pose], r_min)
 
 
 def trajectory_void_probability(beliefs, rollout, r_min: float) -> float:
     """Minimum void probability over all (object, rollout pose) pairs."""
-    xy = _rollout_xy(rollout)
-    px, py = xy[:, 0], xy[:, 1]
-    best = 1.0
-    for belief in beliefs:
-        vp = 1.0 - float(np.max(_mass_inside(belief, px, py, r_min)))
-        if vp < best:
-            best = vp
-    return best
+    return min(_void_per_belief(beliefs, rollout, r_min), default=1.0)
 
 
 def _void_ok(beliefs, rollout, r_min: float, b_min: float) -> bool:
     """Gate check with early exit per belief; decision-equivalent to the exact min."""
-    xy = _rollout_xy(rollout)
-    px, py = xy[:, 0], xy[:, 1]
-    for belief in beliefs:
-        if 1.0 - float(np.max(_mass_inside(belief, px, py, r_min))) < b_min:
-            return False
-    return True
+    return not any(vp < b_min for vp in _void_per_belief(beliefs, rollout, r_min))
 
 
 def _rotate(vec: np.ndarray, angle: float) -> np.ndarray:
@@ -162,22 +158,36 @@ def candidate_points_abc(uav: UavState, target_estimate, r_min: float) -> list[t
 
 
 def _discrete_waypoints(uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area | None):
-    """The |U| headings {0, 2pi/|U|, ...} with waypoints one full-speed epoch away."""
+    """The |U| headings {0, 2pi/|U|, ...} as (label, waypoint one full-speed epoch away)."""
     reach = kin.v_max * cfg.horizon * cfg.step_period
-    out = []
     for i in range(cfg.action_count):
         theta = 2.0 * math.pi * i / cfg.action_count
         wp = uav.xy + reach * np.array([math.cos(theta), math.sin(theta)])
-        if area is not None:
-            wp = area.clamp(wp)
-        out.append((i, wp))
-    return out
+        yield f"discrete_{i:02d}", wp if area is None else area.clamp(wp)
 
 
-def _finalize(beliefs, wp, rollout, cfg: VoidConfig, label: str, fallback: bool = False) -> CandidateAction:
+def _gated(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area | None,
+           candidates):
+    """(label, waypoint, rollout) of each (label, waypoint) candidate, in order, whose
+    trajectory keeps the void probability of every object at or above cfg.b_min."""
+    for label, wp in candidates:
+        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
+        if _void_ok(beliefs, rollout, cfg.r_min, cfg.b_min):
+            yield label, wp, rollout
+
+
+def _finalize(beliefs, label: str, wp, rollout, cfg: VoidConfig, fallback: bool = False) -> CandidateAction:
     vp = trajectory_void_probability(beliefs, rollout, cfg.r_min)
     return CandidateAction(waypoint=np.asarray(wp, dtype=float), rollout=rollout,
                            void_prob=vp, label=label, fallback=fallback)
+
+
+def _stay(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig,
+          area: Area | None) -> CandidateAction:
+    """The stay-in-place fallback, exempt from the gate, for when no candidate passes it."""
+    wp = uav.xy.copy()
+    rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
+    return _finalize(beliefs, "stay", wp, rollout, cfg, fallback=True)
 
 
 def lavapilot_select(
@@ -192,9 +202,9 @@ def lavapilot_select(
     Returns None when every object is localized (mission complete). Evaluates A, B,
     C in that fixed order and returns the first whose trajectory satisfies the void
     bound; otherwise the qualifying discrete heading whose waypoint is nearest the
-    selected object; otherwise the stay-in-place fallback. Starting on or inside the
-    selected object's void disc returns the radially outward escape, exempt from the
-    gate for that single decision.
+    selected object (the lowest index on ties); otherwise the stay-in-place
+    fallback. Starting on or inside the selected object's void disc returns the
+    radially outward escape, exempt from the gate for that single decision.
     """
     active = [b for b in beliefs if not b.localized]
     if not active:
@@ -202,32 +212,19 @@ def lavapilot_select(
     x_star = min(active, key=lambda b: (tracker.uncertainty(b), b.tag_id))
     est_xy = tracker.estimate(x_star).position[:2]
 
-    dist = float(math.hypot(*(uav.xy - est_xy)))
-    if dist <= cfg.r_min:
-        label, wp = candidate_points_abc(uav, est_xy, cfg.r_min)[0]
+    points = candidate_points_abc(uav, est_xy, cfg.r_min)
+    if float(math.hypot(*(uav.xy - est_xy))) <= cfg.r_min:
+        wp = points[0][1]
         rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-        return _finalize(beliefs, wp, rollout, cfg, "escape", fallback=True)
+        return _finalize(beliefs, "escape", wp, rollout, cfg, fallback=True)
 
-    for label, wp in candidate_points_abc(uav, est_xy, cfg.r_min):
-        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-        if _void_ok(beliefs, rollout, cfg.r_min, cfg.b_min):
-            return _finalize(beliefs, wp, rollout, cfg, label)
-
-    best = None  # (distance to estimate, index, wp, rollout)
-    for i, wp in _discrete_waypoints(uav, kin, cfg, area):
-        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-        if not _void_ok(beliefs, rollout, cfg.r_min, cfg.b_min):
-            continue
-        d = float(math.hypot(*(wp - est_xy)))
-        if best is None or (d, i) < (best[0], best[1]):
-            best = (d, i, wp, rollout)
-    if best is not None:
-        _, i, wp, rollout = best
-        return _finalize(beliefs, wp, rollout, cfg, f"discrete_{i:02d}")
-
-    wp = uav.xy.copy()
-    rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-    return _finalize(beliefs, wp, rollout, cfg, "stay", fallback=True)
+    best = next(_gated(beliefs, uav, kin, cfg, area, points), None)
+    if best is None:
+        best = min(_gated(beliefs, uav, kin, cfg, area, _discrete_waypoints(uav, kin, cfg, area)),
+                   key=lambda c: float(math.hypot(*(c[1] - est_xy))), default=None)
+    if best is None:
+        return _stay(beliefs, uav, kin, cfg, area)
+    return _finalize(beliefs, *best, cfg)
 
 
 def shannon_reward(weights: np.ndarray, log_g: np.ndarray) -> float:
@@ -290,22 +287,13 @@ def _pseudo_update_reward(
     return renyi_reward(belief.weights, log_g, kind.alpha)
 
 
-def _per_belief_rf(beliefs, rf_cfg) -> list[rf.PropagationConfig]:
-    """Expand a single propagation config (or a per-belief sequence) to one per belief."""
-    if isinstance(rf_cfg, rf.PropagationConfig):
-        return [rf_cfg] * len(beliefs)
-    if len(rf_cfg) != len(beliefs):
-        raise ValueError("need one propagation config per belief")
-    return list(rf_cfg)
-
-
 def info_gain_select(
     beliefs,
     uav: UavState,
     kin: UavKinematics,
     cfg: VoidConfig,
     kind: PlannerKind,
-    rf_cfg,
+    rf_cfgs,
     area: Area | None = None,
 ) -> CandidateAction | None:
     """Reward-maximizing selection over the discrete headings plus stay-in-place.
@@ -314,32 +302,21 @@ def info_gain_select(
     its terminal rollout pose, over unlocalized objects only; candidates violating
     the void bound are discarded first. Ties break toward the lowest candidate
     index. If nothing qualifies the stay-in-place fallback is returned.
-    rf_cfg may be a single PropagationConfig or one per belief (per-tag carriers).
+    rf_cfgs holds one PropagationConfig per belief (per-tag carriers).
     """
-    rf_cfgs = _per_belief_rf(beliefs, rf_cfg)
-    active = [(b, c) for b, c in zip(beliefs, rf_cfgs) if not b.localized]
+    active = [(b, c) for b, c in zip(beliefs, rf_cfgs, strict=True) if not b.localized]
     if not active:
         return None
 
-    candidates = [(i, wp, f"discrete_{i:02d}") for i, wp in _discrete_waypoints(uav, kin, cfg, area)]
-    candidates.append((cfg.action_count, uav.xy.copy(), "stay"))
+    def reward(gated) -> float:
+        terminal = gated[2][-1]
+        return sum(_pseudo_update_reward(b, terminal, kind, c) for b, c in active)
 
-    best = None  # (reward, index, wp, rollout, label)
-    for i, wp, label in candidates:
-        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-        if not _void_ok(beliefs, rollout, cfg.r_min, cfg.b_min):
-            continue
-        terminal = rollout[-1]
-        reward = sum(_pseudo_update_reward(b, terminal, kind, c) for b, c in active)
-        if best is None or reward > best[0]:
-            best = (reward, i, wp, rollout, label)
-    if best is not None:
-        _, _, wp, rollout, label = best
-        return _finalize(beliefs, wp, rollout, cfg, label)
-
-    wp = uav.xy.copy()
-    rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-    return _finalize(beliefs, wp, rollout, cfg, "stay", fallback=True)
+    candidates = [*_discrete_waypoints(uav, kin, cfg, area), ("stay", uav.xy.copy())]
+    best = max(_gated(beliefs, uav, kin, cfg, area, candidates), key=reward, default=None)
+    if best is None:
+        return _stay(beliefs, uav, kin, cfg, area)
+    return _finalize(beliefs, *best, cfg)
 
 
 def select_action(
@@ -348,13 +325,13 @@ def select_action(
     kin: UavKinematics,
     cfg: VoidConfig,
     kind: PlannerKind,
-    rf_cfg,
+    rf_cfgs,
     area: Area | None = None,
 ) -> CandidateAction | None:
-    """Dispatch to the configured planner."""
+    """Dispatch to the configured planner; rf_cfgs holds one PropagationConfig per belief."""
     if kind.kind == "lavapilot":
         return lavapilot_select(beliefs, uav, kin, cfg, area)
-    return info_gain_select(beliefs, uav, kin, cfg, kind, rf_cfg, area)
+    return info_gain_select(beliefs, uav, kin, cfg, kind, rf_cfgs, area)
 
 
 def verify_void_bound(action: CandidateAction, cfg: VoidConfig, beliefs=None) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,12 +18,13 @@ class TrackerConfig:
     sigma_min: float = 35.0  # meters; localization threshold
 
     def __post_init__(self):
-        if self.num_particles < 1:
+        # each check is written so that NaN fails it
+        if not self.num_particles >= 1:
             raise ValueError("num_particles must be >= 1")
         if not (0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
-        if self.sigma_min <= 0.0:
-            raise ValueError("sigma_min must be positive")
+        if not 0.0 < self.sigma_min < math.inf:
+            raise ValueError("sigma_min must be positive and finite")
 
 
 @dataclass

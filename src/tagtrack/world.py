@@ -91,8 +91,11 @@ class UavKinematics:
     altitude: float = 30.0
 
     def __post_init__(self):
-        if self.v_max <= 0.0 or self.accel <= 0.0:
-            raise ValueError("v_max and accel must be positive")
+        # each check is written so that NaN fails it
+        if not (0.0 < self.v_max < math.inf and 0.0 < self.accel < math.inf):
+            raise ValueError("v_max and accel must be positive and finite")
+        if not math.isfinite(self.altitude):
+            raise ValueError("altitude must be finite")
 
 
 @dataclass
@@ -103,8 +106,8 @@ class TargetDynamics:
 
     def __post_init__(self):
         self.q_diag = np.asarray(self.q_diag, dtype=float).reshape(3)
-        if np.any(self.q_diag < 0.0):
-            raise ValueError("process noise variances must be non-negative")
+        if not np.all((self.q_diag >= 0.0) & (self.q_diag < math.inf)):
+            raise ValueError("process noise variances must be non-negative and finite")
         if self.q_diag[2] != 0.0:
             raise ValueError("z-axis process noise must be zero (targets stay at fixed height)")
 

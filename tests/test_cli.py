@@ -102,6 +102,16 @@ def test_bench_cli(tmp_path, capsys):
     assert payload["results"]["lavapilot"]["likelihood_calls"] == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--particles", "0"), ("--tags", "0"), ("--actions", "2"), ("--horizon", "0"),
+], ids=["zero_particles", "zero_tags", "two_actions", "zero_horizon"])
+def test_bench_bad_size_exit_code(capsys, flag, value):
+    sizes = ["--particles", "50", "--tags", "2", "--actions", "4", "--horizon", "2"]
+    assert cli.main(["bench", *sizes, flag, value, "--reps", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag[2:] in err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"num_tags": 0}))

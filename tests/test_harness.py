@@ -136,6 +136,39 @@ def test_config_validation_errors():
         ScenarioConfig.from_dict({"planner": None})
 
 
+NAN = float("nan")
+
+
+def _validate_after(**changes):
+    """Validate a default scenario whose attributes were changed after construction."""
+    cfg = ScenarioConfig()
+    for name, value in changes.items():
+        setattr(cfg, name, value)
+    cfg.validate()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: planner.VoidConfig(r_min=NAN), ValueError),
+    (lambda: planner.VoidConfig(step_period=NAN), ValueError),
+    (lambda: planner.PlannerKind(kind="renyi", alpha=NAN), ValueError),
+    (lambda: tracker.TrackerConfig(sigma_min=NAN), ValueError),
+    (lambda: world.UavKinematics(v_max=NAN), ValueError),
+    (lambda: world.UavKinematics(altitude=NAN), ValueError),
+    (lambda: world.TargetDynamics(q_diag=[NAN, 1.0, 0.0]), ValueError),
+    (lambda: ScenarioConfig(step_period=NAN), ValueError),
+    (lambda: ScenarioConfig(max_flight_time=NAN).validate(), harness.ConfigError),
+    (lambda: ScenarioConfig(belief_init_sigma=NAN).validate(), harness.ConfigError),
+    (lambda: ScenarioConfig(uav_start_heading=NAN).validate(), harness.ConfigError),
+    (lambda: _validate_after(step_period=NAN), harness.ConfigError),
+], ids=["void_r_min", "void_step_period", "renyi_alpha", "tracker_sigma_min",
+        "kinematics_v_max", "kinematics_altitude", "dynamics_q_diag", "scenario_step_period",
+        "scenario_max_flight_time", "scenario_belief_init_sigma", "scenario_start_heading",
+        "scenario_step_period_set_later"])
+def test_nan_fails_range_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_step_period_synchronized():
     cfg = small_config(step_period=2.0)
     assert cfg.void.step_period == 2.0
@@ -281,16 +314,6 @@ def test_export_mc_and_heatmap(tmp_path):
     grid = [[int(v) for v in line.split(",")]
             for line in (tmp_path / "heatmap.csv").read_text().strip().split("\n")]
     assert grid == mc.heatmap_counts
-
-
-def test_export_dispatch(tmp_path):
-    cfg = small_config(max_flight_time=20.0)
-    rec = harness.run_mission(cfg)
-    assert harness.export(rec, cfg, str(tmp_path / "m"))
-    mc = harness.run_montecarlo(cfg, trials=1)
-    assert harness.export(mc, cfg, str(tmp_path / "mc"))
-    with pytest.raises(TypeError):
-        harness.export(object(), cfg, str(tmp_path))
 
 
 def test_audit_functions():

@@ -249,7 +249,7 @@ def test_info_gain_evaluates_likelihoods():
     cfg = planner.VoidConfig()
     rf.reset_likelihood_calls()
     action = planner.info_gain_select(beliefs, make_uav(250.0, 250.0), KIN, cfg,
-                                      planner.PlannerKind(kind="shannon"), RF,
+                                      planner.PlannerKind(kind="shannon"), [RF],
                                       Area(0, 500, 0, 500))
     assert action is not None
     assert rf.likelihood_call_count() > 0
@@ -281,7 +281,7 @@ def test_info_gain_uniform_likelihood_breaks_ties_to_first_candidate():
     cfg = planner.VoidConfig()
     for kind_name in ("shannon", "renyi"):
         action = planner.info_gain_select(beliefs, make_uav(400.0, 100.0), KIN, cfg,
-                                          planner.PlannerKind(kind=kind_name), RF)
+                                          planner.PlannerKind(kind=kind_name), [RF])
         assert action.label == "discrete_00"
 
 
@@ -290,11 +290,47 @@ def test_info_gain_respects_void_gate():
     beliefs = [point_mass(180.0, 100.0, 1)]  # due east of the observer, 80 m away
     uav = make_uav(100.0, 100.0)
     action = planner.info_gain_select(beliefs, uav, KIN, cfg,
-                                      planner.PlannerKind(kind="renyi"), RF)
+                                      planner.PlannerKind(kind="renyi"), [RF])
     assert action is not None and not action.fallback
     assert action.void_prob >= cfg.b_min
     # heading 0 points straight at the point mass and must have been discarded
     assert action.label != "discrete_00"
+
+
+def test_info_gain_all_localized_returns_none():
+    b = point_mass(0.0, 0.0)
+    b.localized = True
+    action = planner.info_gain_select([b], make_uav(100.0, 0.0), KIN, planner.VoidConfig(),
+                                      planner.PlannerKind(kind="renyi"), [RF])
+    assert action is None
+    with pytest.raises(ValueError):  # one propagation config per belief
+        planner.info_gain_select([b], make_uav(100.0, 0.0), KIN, planner.VoidConfig(),
+                                 planner.PlannerKind(kind="renyi"), [RF, RF])
+
+
+def test_info_gain_infeasible_start_returns_stay_fallback():
+    # the belief lies 25 m from the start pose: every candidate, staying included,
+    # violates the bound, so the planner reports the stay-in-place fallback
+    cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
+    action = planner.info_gain_select([point_mass(75.0, 0.0)], make_uav(100.0, 0.0), KIN, cfg,
+                                      planner.PlannerKind(kind="shannon"), [RF])
+    assert action.label == "stay"
+    assert action.fallback
+    assert action.void_prob < cfg.b_min
+
+
+def test_info_gain_gated_stay_when_only_staying_passes():
+    # a point mass 90 m out along each heading blocks every heading's trajectory,
+    # while the start pose stays clear of all void discs
+    cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
+    beliefs = [point_mass(500.0 + 90.0 * math.cos(2.0 * math.pi * i / cfg.action_count),
+                          500.0 + 90.0 * math.sin(2.0 * math.pi * i / cfg.action_count), i + 1)
+               for i in range(cfg.action_count)]
+    action = planner.info_gain_select(beliefs, make_uav(500.0, 500.0), KIN, cfg,
+                                      planner.PlannerKind(kind="renyi"), [RF] * len(beliefs))
+    assert action.label == "stay"
+    assert not action.fallback
+    assert action.void_prob == 1.0
 
 
 def test_verify_void_bound():
