@@ -8,7 +8,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,6 +102,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown belief_init_mode: {self.belief_init_mode}")
         if self.belief_init_sigma < 0.0:
             raise ConfigError("belief_init_sigma must be non-negative")
+        if self.kinematics.altitude <= self.tag_height:
+            raise ConfigError(f"kinematics.altitude_m ({self.kinematics.altitude}) must exceed "
+                              f"tag_height_m ({self.tag_height})")
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **_write(self, _SCHEMA)}
@@ -374,15 +377,6 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     else:
         rf_cfgs = [cfg.rf] * n_tags
 
-    beliefs = []
-    for j in range(n_tags):
-        if cfg.belief_init_mode == "at_truth":
-            b = tracker_mod.init_belief_at(j + 1, targets[j].position, cfg.belief_init_sigma,
-                                       cfg.tracker, filt_rngs[j], area)
-        else:
-            b = tracker_mod.init_belief(j + 1, area, cfg.tag_height, cfg.tracker, filt_rngs[j])
-        beliefs.append(b)
-
     filter_dyn = cfg.filter_dynamics if cfg.filter_dynamics is not None else cfg.target_dynamics
     # "without void" runs keep the same code path with a vanishing safe radius
     planner_void = cfg.void if cfg.planner.void_enabled else replace(cfg.void, r_min=0.001)
@@ -399,65 +393,89 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     flight_time = float(cfg.max_flight_time)
     all_localized = n_tags == 0
 
-    for k in range(1, n_steps + 1):
-        targets = [target_step(t, cfg.target_dynamics, dyn_rngs[j], area)
-                   for j, t in enumerate(targets)]
-        if pending:
-            uav = pending.pop(0)
+    # One thread draws each tag's predict noise for the next step while this one runs
+    # the rest of the step (the draw releases the GIL). Tag j's next block is asked for
+    # only after the last use of filt_rngs[j] in a step and read before the next, so
+    # every generator draws in the same order as drawing inside predict would. The
+    # thread calls only the Generator method, never a tagtrack function (tracing
+    # wraps those and keeps one span stack), and the blocks are allocated on this
+    # thread: allocated on the draw thread they page-faulted over three times as often.
+    with ThreadPoolExecutor(max_workers=1) as draws:
+        def draw_noise(j):
+            return draws.submit(filt_rngs[j].standard_normal,
+                                out=np.empty((cfg.tracker.num_particles, 3)))
 
-        zs = [rf_mod.sample_measurement(targets[j], uav, rf_cfgs[j], meas_rngs[j], time_step=k)
-              for j in range(n_tags)]
+        beliefs = []
         for j in range(n_tags):
-            b = tracker_mod.predict(beliefs[j], filter_dyn, filt_rngs[j], area)
-            b = tracker_mod.update(b, zs[j], uav, rf_cfgs[j])
-            if b.diverged:
-                divergences.append({"k": k, "tag_id": j + 1})
-            b = tracker_mod.resample_if_needed(b, cfg.tracker, filt_rngs[j])
-            b = tracker_mod.mark_localized(b, cfg.tracker)
-            if b.localized and loc_error[j] is None:
-                err = tracker_mod.estimate(b).position - targets[j].position
-                loc_error[j] = float(np.linalg.norm(err))
-            beliefs[j] = b
+            if cfg.belief_init_mode == "at_truth":
+                b = tracker_mod.init_belief_at(j + 1, targets[j].position, cfg.belief_init_sigma,
+                                               cfg.tracker, filt_rngs[j], area)
+            else:
+                b = tracker_mod.init_belief(j + 1, area, cfg.tag_height, cfg.tracker, filt_rngs[j])
+            beliefs.append(b)
+        noise = [draw_noise(j) for j in range(n_tags)]
 
-        all_localized = all(b.localized for b in beliefs)
-        if all_localized:
-            flight_time = k * t0_step
+        for k in range(1, n_steps + 1):
+            targets = [target_step(t, cfg.target_dynamics, dyn_rngs[j], area)
+                       for j, t in enumerate(targets)]
+            if pending:
+                uav = pending.pop(0)
 
-        plan_time = None
-        void_prob = None
-        if not all_localized and k % cfg.void.horizon == 0:
-            t_start = time.perf_counter()
-            action = planner_mod.select_action(beliefs, uav, kin, planner_void,
-                                               cfg.planner, rf_cfgs, area)
-            plan_time = time.perf_counter() - t_start
-            if action is not None:
-                pending = list(action.rollout)
-                void_prob = action.void_prob
-                bound_ok = None
-                if cfg.planner.void_enabled:
-                    bound_ok = planner_mod.verify_void_bound(action, cfg.void, beliefs)
-                    if not bound_ok:  # a fallback is exempt from the gate, not from the record
-                        kind = action.label if action.fallback else "gated"
-                        violations.append({"k": k, "kind": f"{kind}_below_bound",
-                                           "void_prob": action.void_prob})
-                decisions.append(DecisionRecord(k=k, label=action.label, fallback=action.fallback,
-                                                void_prob=action.void_prob, planning_time=plan_time,
-                                                bound_ok=bound_ok))
+            zs = [rf_mod.sample_measurement(targets[j], uav, rf_cfgs[j], meas_rngs[j], time_step=k)
+                  for j in range(n_tags)]
+            for j in range(n_tags):
+                b = tracker_mod.predict(beliefs[j], filter_dyn, noise[j].result(), area)
+                b = tracker_mod.update(b, zs[j], uav, rf_cfgs[j])
+                if b.diverged:
+                    divergences.append({"k": k, "tag_id": j + 1})
+                b = tracker_mod.resample_if_needed(b, cfg.tracker, filt_rngs[j])
+                noise[j] = draw_noise(j)
+                b = tracker_mod.mark_localized(b, cfg.tracker)
+                if b.localized and loc_error[j] is None:
+                    err = tracker_mod.estimate(b).position - targets[j].position
+                    loc_error[j] = float(np.linalg.norm(err))
+                beliefs[j] = b
 
-        ests = [tracker_mod.estimate(b).position for b in beliefs]
-        steps.append(MissionStep(
-            k=k,
-            uav_x=float(uav.position[0]), uav_y=float(uav.position[1]),
-            uav_z=float(uav.position[2]), uav_heading=float(uav.heading),
-            rssi=[z.rssi for z in zs],
-            est=[tuple(map(float, e)) for e in ests],
-            sigma=[tracker_mod.uncertainty(b) for b in beliefs],
-            localized=[b.localized for b in beliefs],
-            planning_time=plan_time,
-            void_prob=void_prob,
-        ))
-        if all_localized:
-            break
+            all_localized = all(b.localized for b in beliefs)
+            if all_localized:
+                flight_time = k * t0_step
+
+            plan_time = None
+            void_prob = None
+            if not all_localized and k % cfg.void.horizon == 0:
+                t_start = time.perf_counter()
+                action = planner_mod.select_action(beliefs, uav, kin, planner_void,
+                                                   cfg.planner, rf_cfgs, area)
+                plan_time = time.perf_counter() - t_start
+                if action is not None:
+                    pending = list(action.rollout)
+                    void_prob = action.void_prob
+                    bound_ok = None
+                    if cfg.planner.void_enabled:
+                        bound_ok = planner_mod.verify_void_bound(action, cfg.void, beliefs)
+                        if not bound_ok:  # a fallback is exempt from the gate, not from the record
+                            kind = action.label if action.fallback else "gated"
+                            violations.append({"k": k, "kind": f"{kind}_below_bound",
+                                               "void_prob": action.void_prob})
+                    decisions.append(DecisionRecord(k=k, label=action.label,
+                                                    fallback=action.fallback,
+                                                    void_prob=action.void_prob,
+                                                    planning_time=plan_time, bound_ok=bound_ok))
+
+            ests = [tracker_mod.estimate(b).position for b in beliefs]
+            steps.append(MissionStep(
+                k=k,
+                uav_x=float(uav.position[0]), uav_y=float(uav.position[1]),
+                uav_z=float(uav.position[2]), uav_heading=float(uav.heading),
+                rssi=[z.rssi for z in zs],
+                est=[tuple(map(float, e)) for e in ests],
+                sigma=[tracker_mod.uncertainty(b) for b in beliefs],
+                localized=[b.localized for b in beliefs],
+                planning_time=plan_time,
+                void_prob=void_prob,
+            ))
+            if all_localized:
+                break
 
     for j in range(n_tags):
         if loc_error[j] is None:
@@ -612,10 +630,13 @@ def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> Mc
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     cfg.validate()
     trial_cfgs = [replace(cfg, seed=s) for s in derive_trial_seeds(cfg.seed, trials)]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, trials)  # the pool forks every worker up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_metrics, trial_cfgs))
     else:
         results = [_trial_metrics(c) for c in trial_cfgs]

@@ -104,17 +104,20 @@ def init_belief_at(
 def predict(
     belief: ObjectBelief,
     dyn: TargetDynamics,
-    rng: np.random.Generator,
+    noise: np.ndarray,
     area: Area | None = None,
 ) -> ObjectBelief:
     """Propagate every particle through the random-walk transition; weights unchanged.
 
-    Consumes the same (N, 3) standard normals as `random_walk_displacements`, so the
-    random stream and the result match it bit for bit, but moves only x and y:
-    TargetDynamics rejects z noise.
+    `noise` is an (N, 3) block of standard normals as `rng.standard_normal((N, 3))`
+    draws them; the result then matches `pts + random_walk_displacements(N, dyn, rng)`
+    bit for bit, but only x and y move: TargetDynamics rejects z noise. The block is
+    overwritten and becomes the new particle array, so the caller must not reuse it.
     """
     old = belief.particles
-    pts = rng.standard_normal((len(old), 3))  # the draws become the new particles
+    if noise.shape != old.shape:
+        raise ValueError(f"noise block has shape {noise.shape}, expected {old.shape}")
+    pts = noise
     # column by column: numpy loops over an (N, 2) view two elements at a time
     for axis in (0, 1):
         col = pts[:, axis]

@@ -327,7 +327,7 @@ def test_c8_filter_sanity():
         b = tracker.init_belief(1, area, 1.0, tcfg, filt_rng)
         for k in range(200):
             z = rf.sample_measurement(truth, uav, rfc, meas_rng, k)
-            b = tracker.predict(b, jitter, filt_rng, area)
+            b = tracker.predict(b, jitter, filt_rng.standard_normal((tcfg.num_particles, 3)), area)
             b = tracker.update(b, z, uav, rfc)
             b = tracker.resample_if_needed(b, tcfg, filt_rng)
         sigmas.append(tracker.uncertainty(b))

@@ -89,6 +89,11 @@ def test_montecarlo_cli(tmp_path):
     payload = json.loads((out / "mc_summary.json").read_text())
     assert payload["summary"]["trials"] == 2
     assert (out / "heatmap.csv").exists()
+    for parallel in ("0", "-1"):
+        code = cli.main(["montecarlo", "--config", config, "--trials", "2",
+                         "--parallel", parallel, "--out", str(tmp_path / "bad")])
+        assert code == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_bench_cli(tmp_path, capsys):
@@ -138,10 +143,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     ({"num_tag": 2}, "num_tag"),
     ({"rf": {"antenna_table": [[0.0, float("nan")], [3.0, 0.0]]}}, "rf.antenna_table"),
     ({"tag_frequencies_mhz": ["150", "151"]}, "tag_frequencies_mhz"),
+    ({"tag_height_m": 30.0, "num_tags": 1, "tag_positions": [[150.0, 150.0]],
+      "target_dynamics": {"q_diag_m2": [0.0, 0.0, 0.0]}}, "kinematics.altitude_m"),
 ], ids=["zero_frequency", "negative_frequency", "nan_noise_var", "nan_wavelength",
         "nan_tag_height", "nan_scalar", "nan_list_entry", "string_number", "string_bool",
         "non_integral_int", "bool_as_int", "unknown_nested_key", "unknown_top_level_key",
-        "nan_antenna_table", "string_frequencies"])
+        "nan_antenna_table", "string_frequencies", "observer_at_tag_height"])
 def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2

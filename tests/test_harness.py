@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,32 @@ def test_mission_deterministic_given_seed():
     assert summary_signature(a.summary) == summary_signature(b.summary)
 
 
+def test_mission_filter_matches_sequential_replay():
+    """The mission's filter, fed noise drawn one step ahead on its draw thread, equals
+    a replay that draws inside each step from a generator seeded the same way."""
+    cfg = small_config(max_flight_time=60.0,
+                       filter_dynamics=world.TargetDynamics(q_diag=np.array([4.0, 4.0, 0.0])))
+    rec = harness.run_mission(cfg)
+    filt_ss = np.random.SeedSequence(cfg.seed).spawn(4)[3]
+    n = cfg.tracker.num_particles
+    resampled = 0
+    for j, ss in enumerate(filt_ss.spawn(cfg.num_tags)):
+        rng = np.random.default_rng(ss)
+        b = tracker.init_belief(j + 1, cfg.area, cfg.tag_height, cfg.tracker, rng)
+        for s in rec.steps:
+            uav = world.UavState(position=np.array([s.uav_x, s.uav_y, s.uav_z]),
+                                 heading=s.uav_heading)
+            b = tracker.predict(b, cfg.filter_dynamics, rng.standard_normal((n, 3)), cfg.area)
+            b = tracker.update(b, rf.Measurement(j + 1, s.rssi[j], s.k), uav, cfg.rf)
+            out = tracker.resample_if_needed(b, cfg.tracker, rng)
+            resampled += out is not b
+            b = tracker.mark_localized(out, cfg.tracker)
+            assert tuple(map(float, tracker.estimate(b).position)) == s.est[j]
+            assert tracker.uncertainty(b) == s.sigma[j]
+            assert b.localized == s.localized[j]
+    assert resampled > 0  # the resampling offsets share each generator with the noise
+
+
 def test_mission_seed_changes_outputs():
     a = harness.run_mission(small_config(seed=1))
     b = harness.run_mission(small_config(seed=2))
@@ -255,6 +282,55 @@ def test_montecarlo_parallelism_invariant():
     a["metrics"].pop("planning_time_mean_s")
     b["metrics"].pop("planning_time_mean_s")
     assert a == b
+
+
+def test_montecarlo_pool_size_bounded_by_trials(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size and runs trials in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_config(max_flight_time=10.0,
+                       tracker=tracker.TrackerConfig(num_particles=100, sigma_min=35.0))
+    for parallelism, trials in ((500, 2), (2, 3), (500, 1)):
+        assert harness.run_montecarlo(cfg, trials, parallelism).trials == trials
+    assert sizes == [2, 2]  # a single trial runs without a pool
+    for parallelism in (0, -3):
+        with pytest.raises(harness.ConfigError, match="parallelism"):
+            harness.run_montecarlo(cfg, trials=2, parallelism=parallelism)
+    assert sizes == [2, 2]
+
+
+def test_no_thread_outlives_mission(monkeypatch):
+    cfg = small_config(max_flight_time=30.0)
+    before = threading.active_count()
+    harness.run_mission(cfg)
+    assert threading.active_count() == before
+
+    seen = []
+
+    def failing_select(*args, **kwargs):
+        seen.append(threading.active_count())
+        raise RuntimeError("planner failed")
+
+    monkeypatch.setattr(planner, "select_action", failing_select)
+    with pytest.raises(RuntimeError, match="planner failed"):
+        harness.run_mission(cfg)
+    assert seen == [before + 1]  # the draw thread was alive at the first decision
+    assert threading.active_count() == before
 
 
 def test_heatmap_counts_cover_all_poses():

@@ -51,7 +51,7 @@ def test_init_belief_deterministic():
 def test_predict_zero_noise_identity():
     b = belief_from([[1.0, 2.0, 1.0], [3.0, 4.0, 1.0]], [0.5, 0.5])
     dyn = TargetDynamics(q_diag=np.zeros(3))
-    out = tracker.predict(b, dyn, np.random.default_rng(0))
+    out = tracker.predict(b, dyn, np.random.default_rng(0).standard_normal((2, 3)))
     assert np.array_equal(out.particles, b.particles)
     assert np.array_equal(out.weights, b.weights)
 
@@ -60,7 +60,7 @@ def test_predict_keeps_weights():
     rng = np.random.default_rng(2)
     b = belief_from(rng.uniform(0, 100, size=(64, 3)), dyadic_weights(rng, 64))
     dyn = TargetDynamics(q_diag=np.array([1.0, 1.0, 0.0]))
-    out = tracker.predict(b, dyn, rng)
+    out = tracker.predict(b, dyn, rng.standard_normal((64, 3)))
     assert np.array_equal(out.weights, b.weights)
     assert not np.array_equal(out.particles, b.particles)
 
@@ -72,7 +72,7 @@ def test_predict_spread_grows_in_expectation():
     base.particles[:, 2] = 1.0
     grew = 0
     for seed in range(100):
-        out = tracker.predict(base, dyn, np.random.default_rng(seed))
+        out = tracker.predict(base, dyn, np.random.default_rng(seed).standard_normal((200, 3)))
         if tracker.uncertainty(out) > tracker.uncertainty(base):
             grew += 1
     assert grew > 80  # adding independent jitter almost always widens the spread
@@ -90,13 +90,21 @@ def test_predict_matches_clamped_random_walk_bit_for_bit():
     for clamp in (None, area):
         rng_a = np.random.default_rng(8)
         rng_b = copy.deepcopy(rng_a)
-        out = tracker.predict(b, dyn, rng_a, clamp)
+        out = tracker.predict(b, dyn, rng_a.standard_normal((n, 3)), clamp)
         want = pts + random_walk_displacements(n, dyn, rng_b)
         if clamp is not None:
             want[:, :2] = area.clamp(want[:, :2])
         assert out.particles.tobytes() == want.tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state  # same draws consumed
     assert np.array_equal(b.particles, pts)  # the input belief is untouched
+
+
+@pytest.mark.parametrize("shape", [(499, 3), (500, 2), (1500,)],
+                         ids=["short", "two_columns", "flat"])
+def test_predict_rejects_wrong_noise_shape(shape):
+    b = belief_from(np.zeros((500, 3)), np.full(500, 1.0 / 500))
+    with pytest.raises(ValueError, match="noise block"):
+        tracker.predict(b, TargetDynamics(), np.zeros(shape))
 
 
 def fresh_summary(b):
@@ -125,7 +133,7 @@ def test_summaries_follow_every_belief_change():
     check(b)
     resampled = 0
     for k in range(40):
-        b = tracker.predict(b, dyn, rng, area)
+        b = tracker.predict(b, dyn, rng.standard_normal((cfg.num_particles, 3)), area)
         check(b)
         b = tracker.update(b, rf.Measurement(1, float(rng.uniform(-110.0, -70.0)), k), uav, rf_cfg)
         check(b)
