@@ -53,7 +53,6 @@ class ScenarioConfig:
     uav_start_xy: tuple | None = None  # None -> area center
     uav_start_heading: float = 0.0
     max_flight_time: float = 3000.0
-    step_period: float = 1.0
     seed: int = 0
     planner: planner_mod.PlannerKind = field(default_factory=planner_mod.PlannerKind)
     void: planner_mod.VoidConfig = field(default_factory=planner_mod.VoidConfig)
@@ -68,16 +67,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.uav_start_xy is None:
             self.uav_start_xy = (float(self.area.center[0]), float(self.area.center[1]))
-        # keep the single step period authoritative: the planner reads VoidConfig's copy
-        if self.void.step_period != self.step_period:
-            self.void = replace(self.void, step_period=self.step_period)
 
     def validate(self):
         if self.num_tags < 1:
             raise ConfigError("num_tags must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key, value in (("tag_height_m", self.tag_height),
                            ("max_flight_time_s", self.max_flight_time),
-                           ("step_period_s", self.step_period),
                            ("uav_start.heading_rad", self.uav_start_heading),
                            ("belief_init.sigma_m", self.belief_init_sigma)):
             if not math.isfinite(value):
@@ -142,7 +139,7 @@ _SCHEMA = {
     "uav_start": {"x": "uav_start_xy.0", "y": "uav_start_xy.1",
                   "heading_rad": "uav_start_heading"},
     "max_flight_time_s": "max_flight_time",
-    "step_period_s": "step_period",
+    "step_period_s": "void.step_period",
     "planner": {"kind": "planner.kind", "alpha": "planner.alpha",
                 "void_enabled": "planner.void_enabled"},
     "void": {"r_min_m": "void.r_min", "b_min": "void.b_min", "horizon_steps": "void.horizon",
@@ -350,7 +347,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     filter, and replan every horizon steps until all tags localize or time runs out.
     """
     cfg.validate()
-    t0_step = cfg.step_period
+    t0_step = cfg.void.step_period
     n_steps = int(round(cfg.max_flight_time / t0_step))
     n_tags = cfg.num_tags
     area = cfg.area
@@ -391,7 +388,6 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     divergences: list[dict] = []
     loc_error = [None] * n_tags
     flight_time = float(cfg.max_flight_time)
-    all_localized = n_tags == 0
 
     # One thread draws each tag's predict noise for the next step while this one runs
     # the rest of the step (the draw releases the GIL). Tag j's next block is asked for
@@ -400,7 +396,8 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     # thread calls only the Generator method, never a tagtrack function (tracing
     # wraps those and keeps one span stack), and the blocks are allocated on this
     # thread: allocated on the draw thread they page-faulted over three times as often.
-    with ThreadPoolExecutor(max_workers=1) as draws:
+    draws = ThreadPoolExecutor(max_workers=1)
+    try:
         def draw_noise(j):
             return draws.submit(filt_rngs[j].standard_normal,
                                 out=np.empty((cfg.tracker.num_particles, 3)))
@@ -476,18 +473,22 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
             ))
             if all_localized:
                 break
+    finally:
+        # the blocks still queued are for a step that never comes: drop them undrawn
+        draws.shutdown(cancel_futures=True)
 
     for j in range(n_tags):
         if loc_error[j] is None:
             err = tracker_mod.estimate(beliefs[j]).position - targets[j].position
             loc_error[j] = float(np.linalg.norm(err))
 
+    localized = [b.localized for b in beliefs]
     summary = MissionSummary(
         flight_time=flight_time,
-        all_localized=all_localized,
-        localized=[b.localized for b in beliefs],
+        all_localized=all(localized),
+        localized=localized,
         per_tag_error=loc_error,
-        rms=float(np.sqrt(np.mean(np.square(loc_error)))) if n_tags else 0.0,
+        rms=float(np.sqrt(np.mean(np.square(loc_error)))),
         n_steps=len(steps),
         n_decisions=len(decisions),
         planning_time_stats=_stats([d.planning_time for d in decisions]),
@@ -521,13 +522,11 @@ class TrialMetrics:
     flight_time: float
     planning_time_mean: float
     n_decisions: int
-    n_fallback: int
     min_nonfallback_void_prob: float | None
     localized_count: int
     n_violations: int
     n_divergences: int
     poses: np.ndarray  # (n_steps, 2)
-    truths_final: list
 
 
 def derive_trial_seeds(seed: int, trials: int) -> list[int]:
@@ -547,13 +546,11 @@ def _trial_metrics(cfg: ScenarioConfig) -> TrialMetrics:
         flight_time=s.flight_time,
         planning_time_mean=s.planning_time_stats["mean"],
         n_decisions=s.n_decisions,
-        n_fallback=sum(1 for d in record.decisions if d.fallback),
         min_nonfallback_void_prob=min(nonfallback) if nonfallback else None,
         localized_count=sum(bool(x) for x in s.localized),
         n_violations=len(s.violation_events),
         n_divergences=len(s.divergence_events),
         poses=poses,
-        truths_final=s.tag_truths_final,
     )
 
 
@@ -650,7 +647,7 @@ def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> Mc
         "divergence_events": _stats([r.n_divergences for r in results]),
         "n_decisions": _stats([r.n_decisions for r in results]),
     }
-    all_poses = np.concatenate([r.poses for r in results]) if results else np.zeros((0, 2))
+    all_poses = np.concatenate([r.poses for r in results])
     counts, x_edges, y_edges = heatmap_from_poses(all_poses, cfg.area)
     nonfallback = [r.min_nonfallback_void_prob for r in results
                    if r.min_nonfallback_void_prob is not None]
@@ -705,10 +702,12 @@ def bench_planners(repetitions: int, particles: int = tracker_mod.TrackerConfig.
                    horizon: int = planner_mod.VoidConfig.horizon, seed: int = 0) -> dict:
     """Wall-clock per-decision planning time for each planner on identical snapshots.
 
-    The sizes default to the default scenario's; a size out of range is a ConfigError.
+    The sizes default to the default scenario's; a size or a seed out of range is a
+    ConfigError.
     """
     for name, value, least in (("repetitions", repetitions, 10), ("particles", particles, 1),
-                               ("tags", tags, 1), ("actions", actions, 3), ("horizon", horizon, 1)):
+                               ("tags", tags, 1), ("actions", actions, 3), ("horizon", horizon, 1),
+                               ("seed", seed, 0)):
         if value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
     beliefs, uav, area = _bench_snapshot(particles, tags, seed)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +28,13 @@ class TrackerConfig:
             raise ValueError("sigma_min must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ObjectBelief:
-    """Weighted particle approximation of one tag's posterior.
+    """Weighted particle approximation of one tag's posterior, an immutable value.
 
     particles: (N, 3) positions in meters; weights: (N,) non-negative, summing to 1.
     `diverged` flags that the latest update underflowed and was reset to uniform.
-
-    The weighted mean and spread are computed once and kept until `particles` or
-    `weights` is reassigned; change the arrays by reassigning them, not in place.
+    The filter stages build a new belief rather than write into these arrays.
     """
 
     tag_id: int
@@ -43,26 +42,20 @@ class ObjectBelief:
     weights: np.ndarray
     localized: bool = False
     diverged: bool = False
-    _summary: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        if name in ("particles", "weights"):
-            object.__setattr__(self, "_summary", None)
-        object.__setattr__(self, name, value)
-
+    @cached_property
     def summary(self) -> tuple[np.ndarray, float]:
-        """(weighted mean, spread), where the spread is the maximum per-axis weighted
-        standard deviation about the mean (two-pass, so tight beliefs keep their digits)."""
-        if self._summary is None:
-            mean = self.weights @ self.particles
-            dev = np.empty_like(self.particles)
-            # per column: an (N, 3) - (3,) broadcast loops three elements at a time
-            for axis in range(dev.shape[1]):
-                np.subtract(self.particles[:, axis], mean[axis], out=dev[:, axis])
-            dev *= dev
-            var = self.weights @ dev
-            self._summary = (mean, float(np.sqrt(np.max(var))))
-        return self._summary
+        """(weighted mean, spread), computed on first use and kept: the spread is the
+        maximum per-axis weighted standard deviation about the mean (two-pass, so
+        tight beliefs keep their digits)."""
+        mean = self.weights @ self.particles
+        dev = np.empty_like(self.particles)
+        # per column: an (N, 3) - (3,) broadcast loops three elements at a time
+        for axis in range(dev.shape[1]):
+            np.subtract(self.particles[:, axis], mean[axis], out=dev[:, axis])
+        dev *= dev
+        var = self.weights @ dev
+        return mean, float(np.sqrt(np.max(var)))
 
 
 def init_belief(
@@ -183,16 +176,16 @@ def resample_if_needed(
 
 def estimate(belief: ObjectBelief) -> ObjectState:
     """Weighted mean of the particles."""
-    return ObjectState(position=belief.summary()[0].copy(), tag_id=belief.tag_id)
+    return ObjectState(position=belief.summary[0].copy(), tag_id=belief.tag_id)
 
 
 def uncertainty(belief: ObjectBelief) -> float:
     """Belief spread: the maximum of the per-axis weighted standard deviations."""
-    return belief.summary()[1]
+    return belief.summary[1]
 
 
 def mark_localized(belief: ObjectBelief, cfg: TrackerConfig) -> ObjectBelief:
     """Set `localized` once the spread falls below sigma_min; never reverts."""
-    if belief.localized or uncertainty(belief) < cfg.sigma_min:
+    if not belief.localized and uncertainty(belief) < cfg.sigma_min:
         return replace(belief, localized=True)
     return belief

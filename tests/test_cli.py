@@ -109,7 +109,8 @@ def test_bench_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--particles", "0"), ("--tags", "0"), ("--actions", "2"), ("--horizon", "0"),
-], ids=["zero_particles", "zero_tags", "two_actions", "zero_horizon"])
+    ("--seed", "-1"),
+], ids=["zero_particles", "zero_tags", "two_actions", "zero_horizon", "negative_seed"])
 def test_bench_bad_size_exit_code(capsys, flag, value):
     sizes = ["--particles", "50", "--tags", "2", "--actions", "4", "--horizon", "2"]
     assert cli.main(["bench", *sizes, flag, value, "--reps", "10"]) == 2
@@ -124,7 +125,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert cli.main(["bench", "--reps", "3"]) == 2
-    capsys.readouterr()
+    for command in ("simulate", "montecarlo"):
+        assert cli.main([command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -145,10 +149,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     ({"tag_frequencies_mhz": ["150", "151"]}, "tag_frequencies_mhz"),
     ({"tag_height_m": 30.0, "num_tags": 1, "tag_positions": [[150.0, 150.0]],
       "target_dynamics": {"q_diag_m2": [0.0, 0.0, 0.0]}}, "kinematics.altitude_m"),
+    ({"seed": -1}, "seed"),
 ], ids=["zero_frequency", "negative_frequency", "nan_noise_var", "nan_wavelength",
         "nan_tag_height", "nan_scalar", "nan_list_entry", "string_number", "string_bool",
         "non_integral_int", "bool_as_int", "unknown_nested_key", "unknown_top_level_key",
-        "nan_antenna_table", "string_frequencies", "observer_at_tag_height"])
+        "nan_antenna_table", "string_frequencies", "observer_at_tag_height", "negative_seed"])
 def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2

@@ -140,14 +140,6 @@ def test_config_validation_errors():
 NAN = float("nan")
 
 
-def _validate_after(**changes):
-    """Validate a default scenario whose attributes were changed after construction."""
-    cfg = ScenarioConfig()
-    for name, value in changes.items():
-        setattr(cfg, name, value)
-    cfg.validate()
-
-
 @pytest.mark.parametrize("build, error", [
     (lambda: planner.VoidConfig(r_min=NAN), ValueError),
     (lambda: planner.VoidConfig(step_period=NAN), ValueError),
@@ -156,23 +148,30 @@ def _validate_after(**changes):
     (lambda: world.UavKinematics(v_max=NAN), ValueError),
     (lambda: world.UavKinematics(altitude=NAN), ValueError),
     (lambda: world.TargetDynamics(q_diag=[NAN, 1.0, 0.0]), ValueError),
-    (lambda: ScenarioConfig(step_period=NAN), ValueError),
     (lambda: ScenarioConfig(max_flight_time=NAN).validate(), harness.ConfigError),
     (lambda: ScenarioConfig(belief_init_sigma=NAN).validate(), harness.ConfigError),
     (lambda: ScenarioConfig(uav_start_heading=NAN).validate(), harness.ConfigError),
-    (lambda: _validate_after(step_period=NAN), harness.ConfigError),
 ], ids=["void_r_min", "void_step_period", "renyi_alpha", "tracker_sigma_min",
-        "kinematics_v_max", "kinematics_altitude", "dynamics_q_diag", "scenario_step_period",
-        "scenario_max_flight_time", "scenario_belief_init_sigma", "scenario_start_heading",
-        "scenario_step_period_set_later"])
+        "kinematics_v_max", "kinematics_altitude", "dynamics_q_diag",
+        "scenario_max_flight_time", "scenario_belief_init_sigma", "scenario_start_heading"])
 def test_nan_fails_range_checks(build, error):
     with pytest.raises(error):
         build()
 
 
-def test_step_period_synchronized():
-    cfg = small_config(step_period=2.0)
-    assert cfg.void.step_period == 2.0
+def test_step_period_has_one_owner():
+    """The JSON key and the library API set the one period both the loop and the planner
+    read, so the two configs fly the same mission and echo the same period."""
+    lib = small_config(max_flight_time=30.0, void=planner.VoidConfig(step_period=2.0))
+    d = small_config(max_flight_time=30.0).to_dict()
+    d["step_period_s"] = 2.0
+    from_json = ScenarioConfig.from_dict(d)
+    assert from_json.void == lib.void
+    a, b = harness.run_mission(lib), harness.run_mission(from_json)
+    assert rows_signature(a) == rows_signature(b)
+    assert summary_signature(a.summary) == summary_signature(b.summary)
+    assert len(a.steps) == 15  # 30 s in 2 s steps
+    assert lib.to_dict()["step_period_s"] == from_json.to_dict()["step_period_s"] == 2.0
 
 
 def test_zero_flight_time_gives_empty_record():
@@ -245,7 +244,7 @@ def test_mission_poses_and_rows_consistent():
     # flight time: first step at which every tag is localized, else the budget
     full = [s.k for s in rec.steps if all(s.localized)]
     if full:
-        assert rec.summary.flight_time == full[0] * cfg.step_period
+        assert rec.summary.flight_time == full[0] * cfg.void.step_period
     else:
         assert rec.summary.flight_time == cfg.max_flight_time
 
@@ -331,6 +330,50 @@ def test_no_thread_outlives_mission(monkeypatch):
         harness.run_mission(cfg)
     assert seen == [before + 1]  # the draw thread was alive at the first decision
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("ending", ["cap", "all_localized"])
+def test_no_noise_block_outlives_its_mission(monkeypatch, ending):
+    """Each predict-noise block a mission queues is either read by a predict or
+    cancelled when the step loop ends, whether by the cap or by localizing every tag."""
+    if ending == "cap":
+        cfg = small_config(max_flight_time=20.0)
+    else:
+        cfg = small_config(belief_init_mode="at_truth", belief_init_sigma=1.0)
+    real = harness.run_mission(cfg)
+    blocks = []
+
+    class Block:
+        def __init__(self, value):
+            self.value, self.read, self.cancelled = value, False, False
+
+        def result(self):
+            assert not self.cancelled
+            self.read = True
+            return self.value
+
+    class RecordingPool:
+        """Stands in for the draw thread: draws each block at submit, on the caller's
+        thread, which uses every generator in the same order."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args, **kwargs):
+            blocks.append(Block(fn(*args, **kwargs)))
+            return blocks[-1]
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            if cancel_futures:
+                for b in blocks:
+                    b.cancelled = not b.read
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    rec = harness.run_mission(cfg)
+    assert rows_signature(rec) == rows_signature(real)
+    assert rec.summary.all_localized == (ending == "all_localized")
+    assert all(b.read != b.cancelled for b in blocks)
+    assert sum(b.cancelled for b in blocks) == cfg.num_tags  # one queued block per tag
 
 
 def test_heatmap_counts_cover_all_poses():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,8 +76,8 @@ def test_trajectory_void_singleton_reduction():
 
 def dyadic_blob(rng, x, y, sigma, tag_id=1, n=200):
     b = blob(rng, x, y, sigma, tag_id, n)
-    b.weights = dyadic_weights(rng, n)  # exact binary fractions: order-independent sums
-    return b
+    # exact binary fractions: order-independent sums
+    return replace(b, weights=dyadic_weights(rng, n))
 
 
 def test_trajectory_void_monotone_under_extension():
@@ -163,8 +164,7 @@ def test_candidate_points_boundary_cases():
 
 
 def test_lavapilot_all_localized_returns_none():
-    b = point_mass(0.0, 0.0)
-    b.localized = True
+    b = replace(point_mass(0.0, 0.0), localized=True)
     cfg = planner.VoidConfig()
     assert planner.lavapilot_select([b], make_uav(100.0, 0.0), KIN, cfg) is None
 
@@ -186,8 +186,8 @@ def test_lavapilot_blocked_falls_through_to_discrete():
     # bound and the planner must pick the qualifying heading nearest the target
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
     target = point_mass(0.0, 0.0, tag_id=1)
-    blocker = point_mass(120.0, 0.0, tag_id=2)
-    blocker.localized = True  # localized objects still constrain the trajectory
+    # localized objects still constrain the trajectory
+    blocker = replace(point_mass(120.0, 0.0, tag_id=2), localized=True)
     uav = make_uav(200.0, 0.0)
     beliefs = [target, blocker]
 
@@ -298,8 +298,7 @@ def test_info_gain_respects_void_gate():
 
 
 def test_info_gain_all_localized_returns_none():
-    b = point_mass(0.0, 0.0)
-    b.localized = True
+    b = replace(point_mass(0.0, 0.0), localized=True)
     action = planner.info_gain_select([b], make_uav(100.0, 0.0), KIN, planner.VoidConfig(),
                                       planner.PlannerKind(kind="renyi"), [RF])
     assert action is None

@@ -1,0 +1,44 @@
+"""The library surface the benchmark's traced run reads (`perfbench/spans.py` and
+`perfbench/core.py`): every wrapped function exists, the rollout cache and the
+likelihood counter are there, and the per-layer flags come back as bools."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tagtrack import harness, tracker, world
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("core"), importlib.import_module("spans")
+
+
+def test_traced_run_finds_every_layer(tmp_path, perfbench):
+    core, spans = perfbench
+    cfg = harness.ScenarioConfig(
+        area=world.Area(0.0, 300.0, 0.0, 300.0), num_tags=2,
+        tag_positions=[(70.0, 220.0), (230.0, 90.0)], max_flight_time=30.0,
+        tracker=tracker.TrackerConfig(num_particles=300, sigma_min=35.0),
+        target_dynamics=world.TargetDynamics(q_diag=np.array([1.0, 1.0, 0.0])), seed=42)
+    recorder = spans.Recorder(tmp_path)
+    recorder.install()
+    try:
+        assert recorder.missing == []
+        assert spans.rollout_cache_info() is not None
+        assert core.LavapilotProbe().available
+        harness.run_mission(cfg)
+    finally:
+        recorder.uninstall()
+    flags = {name: [s[4] for s in recorder.spans if s[0] == name]
+             for name in ("tracker.update", "tracker.resample", "planner.gate")}
+    for name, values in flags.items():
+        assert values and all(isinstance(v, bool) for v in values), name
+    # the resample flag is `out is not belief`: a step that keeps its particles
+    # must hand back the very same belief
+    assert 0 < sum(flags["tracker.resample"]) < len(flags["tracker.resample"])

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -147,12 +148,19 @@ def test_summaries_follow_every_belief_change():
 
     tracker.estimate(b).position[:] = 0.0  # a caller's copy, not the kept mean
     check(b)
-    b.weights = dyadic_weights(rng, 400)
+    b = replace(b, weights=dyadic_weights(rng, 400))
     check(b)
-    b.particles = b.particles + np.array([10.0, -20.0, 0.0])
+    b = replace(b, particles=b.particles + np.array([10.0, -20.0, 0.0]))
     check(b)
-    b.particles = b.particles[::-1].copy()
+    b = replace(b, particles=b.particles[::-1].copy())
     check(b)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(tracker.ObjectBelief)])
+def test_belief_is_frozen(name):
+    b = belief_from(np.zeros((4, 3)), np.full(4, 0.25))
+    with pytest.raises(FrozenInstanceError):
+        setattr(b, name, getattr(b, name))
 
 
 def test_update_constant_likelihood_keeps_weights():
@@ -312,7 +320,11 @@ def test_mark_localized_is_monotone():
     wide = tracker.ObjectBelief(tag_id=1,
                                 particles=np.array([[0.0, 0, 1], [500.0, 0, 1]]),
                                 weights=np.array([0.5, 0.5]), localized=True)
-    assert tracker.mark_localized(wide, cfg).localized
+    assert tracker.mark_localized(wide, cfg) is wide
+    # a belief whose flag does not change comes back as the same value
+    assert tracker.mark_localized(out, cfg) is out
+    unlocalized = replace(wide, localized=False)
+    assert tracker.mark_localized(unlocalized, cfg) is unlocalized
 
 
 def test_tracker_config_validation():
