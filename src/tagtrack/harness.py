@@ -41,9 +41,12 @@ class VoidAuditError(RuntimeError):
 # configuration
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioConfig:
-    """Everything a mission needs; serializable to/from the JSON config schema."""
+    """Everything a mission needs; serializable to/from the JSON config schema.
+
+    Slotted, so assigning to a name that is not a field raises AttributeError.
+    """
 
     area: Area = field(default_factory=Area)
     num_tags: int = 10
@@ -79,6 +82,8 @@ class ScenarioConfig:
                            ("belief_init.sigma_m", self.belief_init_sigma)):
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+        if self.tag_height < 0.0:  # the ground plane the two-ray model reflects in
+            raise ConfigError(f"tag_height_m must be non-negative, got {self.tag_height}")
         if self.max_flight_time < 0.0:
             raise ConfigError("max_flight_time must be non-negative")
         if self.tag_positions is not None:
@@ -373,6 +378,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                    for f in cfg.tag_frequencies_mhz]
     else:
         rf_cfgs = [cfg.rf] * n_tags
+    wavelengths = np.array([c.wavelength for c in rf_cfgs])
 
     filter_dyn = cfg.filter_dynamics if cfg.filter_dynamics is not None else cfg.target_dynamics
     # "without void" runs keep the same code path with a vanishing safe radius
@@ -418,8 +424,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
             if pending:
                 uav = pending.pop(0)
 
-            zs = [rf_mod.sample_measurement(targets[j], uav, rf_cfgs[j], meas_rngs[j], time_step=k)
-                  for j in range(n_tags)]
+            zs = rf_mod.sample_measurement(targets, uav, cfg.rf, meas_rngs, wavelengths, time_step=k)
             for j in range(n_tags):
                 b = tracker_mod.predict(beliefs[j], filter_dyn, noise[j].result(), area)
                 b = tracker_mod.update(b, zs[j], uav, rf_cfgs[j])
@@ -697,7 +702,7 @@ def _bench_snapshot(particles: int, tags: int, seed: int):
 
 
 def bench_planners(repetitions: int, particles: int = tracker_mod.TrackerConfig.num_particles,
-                   tags: int = ScenarioConfig.num_tags,
+                   tags: int = ScenarioConfig.__dataclass_fields__["num_tags"].default,
                    actions: int = planner_mod.VoidConfig.action_count,
                    horizon: int = planner_mod.VoidConfig.horizon, seed: int = 0) -> dict:
     """Wall-clock per-decision planning time for each planner on identical snapshots.

@@ -281,7 +281,7 @@ def _pseudo_update_reward(
         z_star = rf.received_power(est, terminal, rf_cfg)
     except ValueError:  # estimate coincides with the pose; no usable prediction
         return 0.0
-    log_g = rf.log_likelihood_array(z_star, belief.particles, terminal, rf_cfg)
+    log_g = rf.log_likelihood_array(z_star, belief.particles, terminal, rf_cfg, belief.height)
     if kind.kind == "shannon":
         return shannon_reward(belief.weights, log_g)
     return renyi_reward(belief.weights, log_g, kind.alpha)

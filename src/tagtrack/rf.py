@@ -146,39 +146,54 @@ def reflection_coefficient(cfg: PropagationConfig, psi) -> np.ndarray:
     return _fresnel_gamma(cfg, np.sin(psi), np.cos(psi) ** 2)
 
 
-def _model_power(positions, uav: UavState, cfg: PropagationConfig):
-    """Mean received power (dBm) for tag positions (..., 3); also returns 3D distance.
+def _model_power(xy, z, uav: UavState, cfg: PropagationConfig, wavelength):
+    """Mean received power (dBm) for tags at horizontal positions xy (..., 2) and
+    height z; also returns the squared 3D distance to the observer.
 
-    Entries at zero distance are not finite; callers must inspect the returned
-    distances.
+    `z` and `wavelength` are each a scalar or one value per position. The formulas
+    run as in-place passes over six buffers the size of the batch (the Fresnel
+    coefficient and an antenna table take a few more), each operation in the order
+    the module docstring writes it, so the values equal evaluating each formula
+    into a fresh array. Entries at zero distance are not finite; callers must
+    inspect the returned squared distances.
     """
-    pos = np.asarray(positions, dtype=float)
-    batch = pos.shape[:-1]
-    pos = pos.reshape(-1, 3)
+    xy = np.asarray(xy, dtype=float)
+    batch = xy.shape[:-1]
+    xy = xy.reshape(-1, 2)
     ux, uy, uz = uav.position
-    dx = pos[:, 0] - ux
-    dy = pos[:, 1] - uy
-    rh2 = dx * dx + dy * dy
-    dz = pos[:, 2] - uz
-    d_sq = rh2 + dz * dz
+    dx = np.subtract(xy[:, 0], ux)
+    dy = np.subtract(xy[:, 1], uy)
+    rh2 = np.multiply(dx, dx)
+    buf = np.multiply(dy, dy)
+    rh2 += buf
+    dz = np.subtract(z, uz)
+    d_sq = np.add(rh2, dz * dz)
     d3 = np.sqrt(d_sq)
-    z_sum = pos[:, 2] + uz  # image method: reflect the tag in the ground
-    dref_sq = rh2 + z_sum * z_sum
-    d_ref = np.sqrt(dref_sq)
+    z_sum = np.add(z, uz)  # image method: reflect the tag in the ground
+    d_ref = np.add(rh2, z_sum * z_sum, out=buf)  # squared until the sqrt below
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        if cfg.reflection_mode == "fresnel":
+            cos2_psi = rh2 / d_ref
+            np.sqrt(d_ref, out=d_ref)
+            gamma = _fresnel_gamma(cfg, z_sum / d_ref, cos2_psi)
+        else:
+            np.sqrt(d_ref, out=d_ref)
         # |1 + gamma*exp(-j*dphi)|^2 = 1 + 2*gamma*cos(dphi) + gamma^2
-        cos_dphi = d_ref - d3
-        cos_dphi *= 2.0 * math.pi / cfg.wavelength
+        cos_dphi = d_ref
+        cos_dphi -= d3
+        cos_dphi *= 2.0 * math.pi / wavelength
         np.cos(cos_dphi, out=cos_dphi)
-        if cfg.reflection_mode == "constant":
+        mp_sq = cos_dphi
+        if cfg.reflection_mode == "fresnel":
+            mp_sq *= 2.0 * gamma
+            mp_sq += 1.0
+            gamma *= gamma
+            mp_sq += gamma
+        else:
             g = cfg.reflection_gamma
-            mp_sq = cos_dphi
             mp_sq *= 2.0 * g
             mp_sq += 1.0 + g * g
-        else:
-            gamma = _fresnel_gamma(cfg, z_sum / d_ref, rh2 / dref_sq)
-            mp_sq = 1.0 + 2.0 * gamma * cos_dphi + gamma * gamma
         # -10*n*log10(d) + 5*n*log10(mp_sq) in one log; mp_sq >= (1 - |gamma|)^2, so
         # the ratio stays a normal float out to distances far beyond any mission area
         h = mp_sq
@@ -188,59 +203,85 @@ def _model_power(positions, uav: UavState, cfg: PropagationConfig):
 
         if cfg.antenna_table is None:
             ch, sh = math.cos(uav.heading), math.sin(uav.heading)
-            cos_phi = dx * ch + dy * sh
-            cos_phi /= np.sqrt(rh2)
-            if not rh2.all():
-                cos_phi[rh2 == 0.0] = ch  # straight below: atan2(0, 0) = 0
+            cos_phi = dx
+            cos_phi *= ch
+            dy *= sh
+            cos_phi += dy
+            rh = np.sqrt(rh2, out=rh2)
+            cos_phi /= rh
+            if not rh.all():
+                cos_phi[rh == 0.0] = ch  # straight below: atan2(0, 0) = 0
             h += _pattern_db(cfg, cos_phi)
         else:
-            h += antenna_gain_db(cfg, np.arctan2(dy, dx) - uav.heading)
+            rel = np.arctan2(dy, dx, out=dx)
+            rel -= uav.heading
+            h += antenna_gain_db(cfg, rel)
     h += cfg.p0_dbm
-    return h.reshape(batch), d3.reshape(batch)
+    return h.reshape(batch), d_sq.reshape(batch)
 
 
-def received_power_array(positions, uav: UavState, cfg: PropagationConfig) -> np.ndarray:
-    """Vectorized mean received power for positions shaped (..., 3)."""
-    h, d3 = _model_power(positions, uav, cfg)
-    if np.any(d3 == 0.0):
+def received_power_array(positions, uav: UavState, cfg: PropagationConfig, height,
+                         wavelength=None) -> np.ndarray:
+    """Vectorized mean received power for horizontal positions shaped (..., 2).
+
+    `height` (the tags' height above the ground plane) and `wavelength` (by default
+    cfg.wavelength) are each a scalar or one value per position.
+    """
+    h, d_sq = _model_power(positions, height, uav, cfg,
+                           cfg.wavelength if wavelength is None else wavelength)
+    if not d_sq.all():
         raise ValueError("tag position coincides with the observer position")
     return h
 
+
 def received_power(obj: ObjectState, uav: UavState, cfg: PropagationConfig) -> float:
     """Mean received power (dBm) from one tag."""
-    return float(received_power_array(obj.position, uav, cfg))
+    return float(received_power_array(obj.position[:2], uav, cfg, obj.position[2]))
 
 
 def sample_measurement(
-    obj: ObjectState,
+    targets,
     uav: UavState,
     cfg: PropagationConfig,
-    rng: np.random.Generator,
+    rngs,
+    wavelengths,
     time_step: int = 0,
-) -> Measurement:
-    """Draw one noisy RSSI observation: mean power plus N(0, noise_var)."""
-    rssi = received_power(obj, uav, cfg) + rng.normal(0.0, math.sqrt(cfg.noise_var))
-    return Measurement(tag_id=obj.tag_id, rssi=float(rssi), time_step=time_step)
+) -> list[Measurement]:
+    """One noisy RSSI observation per target: mean power plus N(0, noise_var).
+
+    The mean powers of all targets come from one kernel call, with one carrier
+    wavelength per target; then each target's noise is drawn from its own generator
+    in `rngs`, in target order.
+    """
+    pos = np.array([t.position for t in targets], dtype=float).reshape(-1, 3)
+    powers = received_power_array(pos[:, :2], uav, cfg, pos[:, 2],
+                                  np.asarray(wavelengths, dtype=float))
+    sd = math.sqrt(cfg.noise_var)
+    return [Measurement(tag_id=t.tag_id, rssi=float(p + rng.normal(0.0, sd)), time_step=time_step)
+            for t, p, rng in zip(targets, powers, rngs, strict=True)]
 
 
-def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: PropagationConfig) -> np.ndarray:
-    """Gaussian log-density of an RSSI value for candidate tag positions (..., 3).
+def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: PropagationConfig,
+                         height=0.0) -> np.ndarray:
+    """Gaussian log-density of an RSSI value for candidate tag positions (..., 2) at
+    `height` above the ground plane (a scalar, or one value per position; ground
+    level when left out).
 
     Positions coincident with the observer get -inf (excluded by the void
     constraint in normal operation).
     """
     global _likelihood_calls
     _likelihood_calls += 1
-    h, d3 = _model_power(positions, uav, cfg)
+    h, d_sq = _model_power(positions, height, uav, cfg, cfg.wavelength)
     ll = np.subtract(rssi, h, out=h)
     ll *= ll
     ll *= -0.5 / cfg.noise_var
     ll += -0.5 * math.log(2.0 * math.pi * cfg.noise_var)
-    if not d3.all():
-        ll[d3 == 0.0] = -np.inf
+    if not d_sq.all():
+        ll[d_sq == 0.0] = -np.inf
     return ll
 
 
 def log_likelihood(z: Measurement, particle: ObjectState, uav: UavState, cfg: PropagationConfig) -> float:
     """Log-density of one measurement at one candidate tag state."""
-    return float(log_likelihood_array(z.rssi, particle.position, uav, cfg))
+    return float(log_likelihood_array(z.rssi, particle.position[:2], uav, cfg, particle.position[2]))

@@ -32,14 +32,17 @@ class TrackerConfig:
 class ObjectBelief:
     """Weighted particle approximation of one tag's posterior, an immutable value.
 
-    particles: (N, 3) positions in meters; weights: (N,) non-negative, summing to 1.
-    `diverged` flags that the latest update underflowed and was reset to uniform.
-    The filter stages build a new belief rather than write into these arrays.
+    particles: (N, 2) horizontal positions in meters, C-contiguous; weights: (N,)
+    non-negative, summing to 1; height: the tag's fixed height in meters, one value
+    for every particle. `diverged` flags that the latest update underflowed and was
+    reset to uniform. The filter stages build a new belief rather than write into
+    these arrays.
     """
 
     tag_id: int
     particles: np.ndarray
     weights: np.ndarray
+    height: float
     localized: bool = False
     diverged: bool = False
 
@@ -50,7 +53,7 @@ class ObjectBelief:
         tight beliefs keep their digits)."""
         mean = self.weights @ self.particles
         dev = np.empty_like(self.particles)
-        # per column: an (N, 3) - (3,) broadcast loops three elements at a time
+        # per column: an (N, 2) - (2,) broadcast loops two elements at a time
         for axis in range(dev.shape[1]):
             np.subtract(self.particles[:, axis], mean[axis], out=dev[:, axis])
         dev *= dev
@@ -67,10 +70,8 @@ def init_belief(
 ) -> ObjectBelief:
     """Uniform particles over the 2D search area at the tag height, uniform weights."""
     n = cfg.num_particles
-    pts = np.empty((n, 3))
-    pts[:, :2] = area.sample(rng, n)
-    pts[:, 2] = tag_height
-    return ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n))
+    return ObjectBelief(tag_id=tag_id, particles=area.sample(rng, n), weights=np.full(n, 1.0 / n),
+                        height=float(tag_height))
 
 
 def init_belief_at(
@@ -81,17 +82,19 @@ def init_belief_at(
     rng: np.random.Generator,
     area: Area | None = None,
 ) -> ObjectBelief:
-    """Particles drawn as a tight horizontal Gaussian blob around a known position.
+    """Particles drawn as a tight horizontal Gaussian blob around a known 3D position,
+    at its height.
 
     Used to construct converged beliefs for controlled experiments.
     """
     n = cfg.num_particles
     center = np.asarray(position, dtype=float).reshape(3)
-    pts = np.tile(center, (n, 1))
-    pts[:, :2] += rng.normal(scale=sigma, size=(n, 2))
+    pts = np.tile(center[:2], (n, 1))
+    pts += rng.normal(scale=sigma, size=(n, 2))
     if area is not None:
-        pts[:, :2] = area.clamp(pts[:, :2])
-    return ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n))
+        pts = area.clamp(pts)
+    return ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
+                        height=float(center[2]))
 
 
 def predict(
@@ -103,20 +106,20 @@ def predict(
     """Propagate every particle through the random-walk transition; weights unchanged.
 
     `noise` is an (N, 3) block of standard normals as `rng.standard_normal((N, 3))`
-    draws them; the result then matches `pts + random_walk_displacements(N, dyn, rng)`
-    bit for bit, but only x and y move: TargetDynamics rejects z noise. The block is
-    overwritten and becomes the new particle array, so the caller must not reuse it.
+    draws them; the new particles then match the x and y columns of
+    `pts + random_walk_displacements(N, dyn, rng)` bit for bit. Only columns 0 and 1
+    are read (TargetDynamics rejects z noise): the third keeps each generator's
+    stream as it was. The result is a fresh (N, 2) array; the block is not kept.
     """
     old = belief.particles
-    if noise.shape != old.shape:
-        raise ValueError(f"noise block has shape {noise.shape}, expected {old.shape}")
-    pts = noise
-    # column by column: numpy loops over an (N, 2) view two elements at a time
+    n = len(old)
+    if noise.shape != (n, 3):
+        raise ValueError(f"noise block has shape {noise.shape}, expected {(n, 3)}")
+    pts = np.empty((n, 2))
+    # column by column: numpy loops over an (N, 2) array two elements at a time
     for axis in (0, 1):
-        col = pts[:, axis]
-        col *= np.sqrt(dyn.q_diag[axis])
+        col = np.multiply(noise[:, axis], np.sqrt(dyn.q_diag[axis]), out=pts[:, axis])
         col += old[:, axis]
-    pts[:, 2] = old[:, 2]
     if area is not None:
         np.clip(pts[:, 0], area.x_min, area.x_max, out=pts[:, 0])
         np.clip(pts[:, 1], area.y_min, area.y_max, out=pts[:, 1])
@@ -136,14 +139,15 @@ def update(
     """
     if z.tag_id != belief.tag_id:
         raise ValueError(f"measurement tag {z.tag_id} does not match belief tag {belief.tag_id}")
-    ll = rf.log_likelihood_array(z.rssi, belief.particles, uav, cfg)
+    logw = rf.log_likelihood_array(z.rssi, belief.particles, uav, cfg, belief.height)
     with np.errstate(divide="ignore"):
-        logw = np.log(belief.weights) + ll
+        logw += np.log(belief.weights)
     m = np.max(logw)
     if not np.isfinite(m):
         n = len(belief.weights)
         return replace(belief, weights=np.full(n, 1.0 / n), diverged=True)
-    w = np.exp(logw - m)
+    logw -= m
+    w = np.exp(logw, out=logw)
     w /= w.sum()
     return replace(belief, weights=w, diverged=False)
 
@@ -175,8 +179,8 @@ def resample_if_needed(
 
 
 def estimate(belief: ObjectBelief) -> ObjectState:
-    """Weighted mean of the particles."""
-    return ObjectState(position=belief.summary[0].copy(), tag_id=belief.tag_id)
+    """The weighted mean of the particles, at the tag height."""
+    return ObjectState(position=np.append(belief.summary[0], belief.height), tag_id=belief.tag_id)
 
 
 def uncertainty(belief: ObjectBelief) -> float:

@@ -165,7 +165,7 @@ def test_c5_oracle_equivalence_suite():
             pts = np.column_stack([rng.uniform(-100, 100, n), rng.uniform(-100, 100, n),
                                    np.full(n, 1.0)])
             w = dyadic_weights(rng, n) if n > 1 else np.array([1.0])
-            beliefs.append(tracker.ObjectBelief(j + 1, pts, w))
+            beliefs.append(tracker.ObjectBelief(j + 1, pts, w, 1.0))
             arrays.append((pts, w))
         poses = [world.UavState(position=np.array([rng.uniform(-100, 100),
                                                    rng.uniform(-100, 100), 30.0]))
@@ -208,7 +208,7 @@ def test_c5_oracle_equivalence_suite():
         pts = rng.uniform(-500, 500, size=(n, 3))
         w = dyadic_weights(rng, n)
         want = weighted_sigma_mpmath(pts, w)
-        got = tracker.uncertainty(tracker.ObjectBelief(1, pts, w))
+        got = tracker.uncertainty(tracker.ObjectBelief(1, pts, w, 0.0))
         max_rel = max(max_rel, abs(got - want) / want)
     sigma_ok = max_rel < 1e-10
 
@@ -326,7 +326,8 @@ def test_c8_filter_sanity():
         meas_rng, filt_rng = (np.random.default_rng(s) for s in streams)
         b = tracker.init_belief(1, area, 1.0, tcfg, filt_rng)
         for k in range(200):
-            z = rf.sample_measurement(truth, uav, rfc, meas_rng, k)
+            z, = rf.sample_measurement([truth], uav, rfc, [meas_rng], [rfc.wavelength],
+                                       time_step=k)
             b = tracker.predict(b, jitter, filt_rng.standard_normal((tcfg.num_particles, 3)), area)
             b = tracker.update(b, z, uav, rfc)
             b = tracker.resample_if_needed(b, tcfg, filt_rng)

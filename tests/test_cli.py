@@ -137,6 +137,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     ({"rf": {"noise_var_db2": float("nan")}}, "noise_var"),
     ({"rf": {"wavelength_m": float("nan")}}, "wavelength"),
     ({"tag_height_m": float("nan")}, "tag_height_m"),
+    ({"tag_height_m": -3.0}, "tag_height_m"),
     ({"max_flight_time_s": float("nan")}, "max_flight_time_s"),
     ({"target_dynamics": {"q_diag_m2": [1.0, float("nan"), 0.0]}}, "target_dynamics.q_diag_m2"),
     ({"rf": {"p0_dbm": "-40"}}, "rf.p0_dbm"),
@@ -151,9 +152,10 @@ def test_config_error_exit_code(tmp_path, capsys):
       "target_dynamics": {"q_diag_m2": [0.0, 0.0, 0.0]}}, "kinematics.altitude_m"),
     ({"seed": -1}, "seed"),
 ], ids=["zero_frequency", "negative_frequency", "nan_noise_var", "nan_wavelength",
-        "nan_tag_height", "nan_scalar", "nan_list_entry", "string_number", "string_bool",
-        "non_integral_int", "bool_as_int", "unknown_nested_key", "unknown_top_level_key",
-        "nan_antenna_table", "string_frequencies", "observer_at_tag_height", "negative_seed"])
+        "nan_tag_height", "negative_tag_height", "nan_scalar", "nan_list_entry",
+        "string_number", "string_bool", "non_integral_int", "bool_as_int", "unknown_nested_key",
+        "unknown_top_level_key", "nan_antenna_table", "string_frequencies",
+        "observer_at_tag_height", "negative_seed"])
 def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import threading
 from pathlib import Path
 
@@ -157,6 +158,15 @@ NAN = float("nan")
 def test_nan_fails_range_checks(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("name, value", [("num_tag", 5), ("step_period", 2.0)])
+def test_unknown_config_attribute_raises(name, value):
+    cfg = ScenarioConfig(num_tags=2, max_flight_time=10.0, seed=3)
+    with pytest.raises(AttributeError):
+        setattr(cfg, name, value)
+    cfg.num_tags = 3  # a field still takes a new value
+    assert pickle.loads(pickle.dumps(cfg)).to_dict() == cfg.to_dict()
 
 
 def test_step_period_has_one_owner():

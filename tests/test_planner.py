@@ -18,13 +18,15 @@ def make_uav(x, y, z=30.0, heading=0.0, speed=0.0):
 
 
 def point_mass(x, y, tag_id=1, n=4):
-    pts = np.tile(np.array([x, y, 1.0]), (n, 1))
-    return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n))
+    pts = np.tile(np.array([x, y]), (n, 1))
+    return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
+                                height=1.0)
 
 
 def blob(rng, x, y, sigma, tag_id=1, n=200):
-    pts = np.column_stack([rng.normal(x, sigma, n), rng.normal(y, sigma, n), np.full(n, 1.0)])
-    return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n))
+    pts = np.column_stack([rng.normal(x, sigma, n), rng.normal(y, sigma, n)])
+    return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
+                                height=1.0)
 
 
 def test_in_void_trivials():
@@ -46,23 +48,22 @@ def test_void_probability_trivials():
     near = point_mass(10.0, 0.0)
     assert planner.void_probability(near, pose, 50.0) == 0.0
     # 0.3 of the mass inside -> 0.7
-    pts = np.array([[10.0, 0.0, 1.0], [200.0, 0.0, 1.0]])
-    b = tracker.ObjectBelief(tag_id=1, particles=pts, weights=np.array([0.3, 0.7]))
+    pts = np.array([[10.0, 0.0], [200.0, 0.0]])
+    b = tracker.ObjectBelief(tag_id=1, particles=pts, weights=np.array([0.3, 0.7]), height=1.0)
     assert planner.void_probability(b, pose, 50.0) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_void_probability_permutation_invariant():
     rng = np.random.default_rng(0)
-    pts = np.column_stack([rng.uniform(-100, 100, 16), rng.uniform(-100, 100, 16),
-                           np.full(16, 1.0)])
+    pts = np.column_stack([rng.uniform(-100, 100, 16), rng.uniform(-100, 100, 16)])
     w = dyadic_weights(rng, 16)
     pose = make_uav(5.0, -3.0)
     base = planner.void_probability(
-        tracker.ObjectBelief(1, pts, w), pose, 60.0)
+        tracker.ObjectBelief(1, pts, w, 1.0), pose, 60.0)
     for _ in range(10):
         perm = rng.permutation(16)
         shuffled = planner.void_probability(
-            tracker.ObjectBelief(1, pts[perm], w[perm]), pose, 60.0)
+            tracker.ObjectBelief(1, pts[perm], w[perm], 1.0), pose, 60.0)
         assert shuffled == base
 
 
@@ -100,10 +101,9 @@ def test_trajectory_void_equals_brute_force():
         arrays = []
         for j in range(n_beliefs):
             n = int(rng.integers(1, 17))
-            pts = np.column_stack([rng.uniform(-100, 100, n), rng.uniform(-100, 100, n),
-                                   np.full(n, 1.0)])
+            pts = np.column_stack([rng.uniform(-100, 100, n), rng.uniform(-100, 100, n)])
             w = dyadic_weights(rng, n) if n > 1 else np.array([1.0])
-            beliefs.append(tracker.ObjectBelief(j + 1, pts, w))
+            beliefs.append(tracker.ObjectBelief(j + 1, pts, w, 1.0))
             arrays.append((pts, w))
         n_poses = int(rng.integers(1, 12))
         poses = [make_uav(float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100)))
@@ -355,7 +355,7 @@ def test_argmin_target_invariant_under_common_sigma_scaling():
     for b in beliefs:
         mean = b.weights @ b.particles
         pts = mean + 3.0 * (b.particles - mean)
-        scaled.append(tracker.ObjectBelief(b.tag_id, pts, b.weights))
+        scaled.append(replace(b, particles=pts))
     order_scaled = np.argsort([tracker.uncertainty(b) for b in scaled])
     assert order[0] == order_scaled[0]
 

@@ -83,16 +83,68 @@ def test_two_ray_matches_complex_oracle_random_geometries():
                     pts = np.column_stack([rng.uniform(-500, 500, 200), rng.uniform(-500, 500, 200),
                                            rng.uniform(0.5, 2.0, 200)])
                     pts[:3, :2] = uav.position[:2]  # straight below
-                    got = rf.received_power_array(pts, uav, cfg)
+                    got = rf.received_power_array(pts[:, :2], uav, cfg, pts[:, 2])
                     want = [two_ray_power_oracle(p, uav.position, uav.heading, cfg) for p in pts]
                     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
                     # coincident positions still give -inf inside a batch
                     with_coincident = np.vstack([pts, uav.position])
-                    ll = rf.log_likelihood_array(-70.0, with_coincident, uav, cfg)
+                    ll = rf.log_likelihood_array(-70.0, with_coincident[:, :2], uav, cfg,
+                                                 with_coincident[:, 2])
                     assert ll[-1] == -math.inf
                     np.testing.assert_allclose(
                         ll[:-1], norm.logpdf(-70.0, loc=got, scale=4.0), rtol=1e-12)
+
+
+TABLE = ((0.0, 4.0), (math.pi / 2, 0.0), (math.pi, -10.0), (3 * math.pi / 2, 0.0))
+KERNEL_CASES = [(mode, table) for mode in ("constant", "fresnel") for table in (None, TABLE)]
+KERNEL_IDS = [f"{mode}-{'table' if table else 'pattern'}" for mode, table in KERNEL_CASES]
+
+
+@pytest.mark.parametrize("mode, table", KERNEL_CASES, ids=KERNEL_IDS)
+def test_scalar_height_equals_per_row_heights_bit_for_bit(mode, table):
+    rng = np.random.default_rng(41)
+    cfg = rf.PropagationConfig(wavelength=1.7, reflection_mode=mode, antenna_table=table)
+    uav = make_uav(20.0, -30.0, 30.0, heading=2.1)
+    xy = rng.uniform(-400, 400, size=(500, 2))
+    xy[:4] = uav.position[:2]  # straight below the observer: rh = 0
+    for z in (1.0, 0.0):
+        rows = np.full(len(xy), z)
+        one = rf.log_likelihood_array(-75.0, xy, uav, cfg, z)
+        per_row = rf.log_likelihood_array(-75.0, xy, uav, cfg, rows)
+        assert one.tobytes() == per_row.tobytes()
+        one = rf.received_power_array(xy, uav, cfg, z)
+        per_row = rf.received_power_array(xy, uav, cfg, rows, np.full(len(xy), cfg.wavelength))
+        assert one.tobytes() == per_row.tobytes()
+    # at the observer's altitude the particles straight below it coincide with it
+    z = float(uav.position[2])
+    one = rf.log_likelihood_array(-75.0, xy, uav, cfg, z)
+    per_row = rf.log_likelihood_array(-75.0, xy, uav, cfg, np.full(len(xy), z))
+    assert np.all(one[:4] == -math.inf) and np.all(np.isfinite(one[4:]))
+    assert one.tobytes() == per_row.tobytes()
+
+
+@pytest.mark.parametrize("mode, table", KERNEL_CASES, ids=KERNEL_IDS)
+def test_batched_measurement_equals_one_target_calls(mode, table):
+    rng = np.random.default_rng(42)
+    cfg = rf.PropagationConfig(reflection_mode=mode, antenna_table=table)
+    uav = make_uav(5.0, 7.0, 30.0, heading=0.4)
+    targets = [tag(float(x), float(y), float(z), tag_id=j + 1) for j, (x, y, z) in
+               enumerate(zip(rng.uniform(-300, 300, 7), rng.uniform(-300, 300, 7),
+                             rng.uniform(0.0, 3.0, 7)))]
+    targets[0] = tag(5.0, 7.0, 1.0, tag_id=1)  # straight below the observer
+    wavelengths = rng.uniform(0.5, 3.0, len(targets))
+    batched_rngs = [np.random.default_rng(100 + j) for j in range(len(targets))]
+    single_rngs = [np.random.default_rng(100 + j) for j in range(len(targets))]
+    batched = rf.sample_measurement(targets, uav, cfg, batched_rngs, wavelengths, time_step=4)
+    for t, lam, z, r_single, r_batched in zip(targets, wavelengths, batched, single_rngs,
+                                              batched_rngs):
+        single, = rf.sample_measurement([t], uav, cfg, [r_single], [lam], time_step=4)
+        assert (z.tag_id, z.time_step) == (t.tag_id, 4)
+        assert z.rssi == single.rssi
+        assert r_batched.bit_generator.state == r_single.bit_generator.state
+    with pytest.raises(ValueError):  # one generator per target
+        rf.sample_measurement(targets, uav, cfg, batched_rngs[:-1], wavelengths)
 
 
 def test_multipath_term_bounds():
@@ -145,7 +197,8 @@ def test_sample_measurement_noiseless_limit():
     cfg = rf.PropagationConfig(noise_var=1e-300)
     uav = make_uav()
     obj = tag(100.0, 50.0)
-    z = rf.sample_measurement(obj, uav, cfg, np.random.default_rng(0), time_step=3)
+    z, = rf.sample_measurement([obj], uav, cfg, [np.random.default_rng(0)], [cfg.wavelength],
+                               time_step=3)
     assert z.rssi == rf.received_power(obj, uav, cfg)
     assert z.tag_id == 1 and z.time_step == 3
 
@@ -154,8 +207,8 @@ def test_sample_measurement_deterministic():
     cfg = rf.PropagationConfig()
     uav = make_uav()
     obj = tag(100.0, 50.0)
-    a = rf.sample_measurement(obj, uav, cfg, np.random.default_rng(9))
-    b = rf.sample_measurement(obj, uav, cfg, np.random.default_rng(9))
+    a, = rf.sample_measurement([obj], uav, cfg, [np.random.default_rng(9)], [cfg.wavelength])
+    b, = rf.sample_measurement([obj], uav, cfg, [np.random.default_rng(9)], [cfg.wavelength])
     assert a.rssi == b.rssi
 
 
@@ -165,7 +218,8 @@ def test_measurement_noise_variance():
     obj = tag(100.0, 50.0)
     rng = np.random.default_rng(4)
     h = rf.received_power(obj, uav, cfg)
-    draws = np.array([rf.sample_measurement(obj, uav, cfg, rng).rssi for _ in range(100_000)])
+    draws = np.array([rf.sample_measurement([obj], uav, cfg, [rng], [cfg.wavelength])[0].rssi
+                      for _ in range(100_000)])
     assert abs(float(np.var(draws - h)) - 25.0) < 0.75  # within 3%
 
 
@@ -231,7 +285,7 @@ def test_likelihood_call_counter():
     rf.reset_likelihood_calls()
     assert rf.likelihood_call_count() == 0
     rf.log_likelihood(rf.Measurement(1, -90.0), p, uav, cfg)
-    rf.log_likelihood_array(-90.0, np.array([[50.0, 0.0, 1.0], [60.0, 0.0, 1.0]]), uav, cfg)
+    rf.log_likelihood_array(-90.0, np.array([[50.0, 0.0], [60.0, 0.0]]), uav, cfg, 1.0)
     assert rf.likelihood_call_count() == 2
     rf.reset_likelihood_calls()
     assert rf.likelihood_call_count() == 0

@@ -15,19 +15,19 @@ def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
     return UavState(position=np.array([x, y, z]), heading=heading)
 
 
-def belief_from(particles, weights, tag_id=1):
+def belief_from(particles, weights, tag_id=1, height=1.0):
     return tracker.ObjectBelief(tag_id=tag_id,
                                 particles=np.asarray(particles, dtype=float),
-                                weights=np.asarray(weights, dtype=float))
+                                weights=np.asarray(weights, dtype=float), height=height)
 
 
 def test_init_belief_uniform():
     area = Area(0.0, 10.0, 0.0, 10.0)
     cfg = tracker.TrackerConfig(num_particles=4)
     b = tracker.init_belief(1, area, 1.0, cfg, np.random.default_rng(0))
-    assert b.particles.shape == (4, 3)
+    assert b.particles.shape == (4, 2) and b.particles.flags.c_contiguous
     assert np.all(b.weights == 0.25)
-    assert np.all(b.particles[:, 2] == 1.0)
+    assert b.height == 1.0
     for p in b.particles:
         assert area.contains(p[:2])
 
@@ -50,7 +50,7 @@ def test_init_belief_deterministic():
 
 
 def test_predict_zero_noise_identity():
-    b = belief_from([[1.0, 2.0, 1.0], [3.0, 4.0, 1.0]], [0.5, 0.5])
+    b = belief_from([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])
     dyn = TargetDynamics(q_diag=np.zeros(3))
     out = tracker.predict(b, dyn, np.random.default_rng(0).standard_normal((2, 3)))
     assert np.array_equal(out.particles, b.particles)
@@ -59,7 +59,7 @@ def test_predict_zero_noise_identity():
 
 def test_predict_keeps_weights():
     rng = np.random.default_rng(2)
-    b = belief_from(rng.uniform(0, 100, size=(64, 3)), dyadic_weights(rng, 64))
+    b = belief_from(rng.uniform(0, 100, size=(64, 2)), dyadic_weights(rng, 64))
     dyn = TargetDynamics(q_diag=np.array([1.0, 1.0, 0.0]))
     out = tracker.predict(b, dyn, rng.standard_normal((64, 3)))
     assert np.array_equal(out.weights, b.weights)
@@ -68,9 +68,8 @@ def test_predict_keeps_weights():
 
 def test_predict_spread_grows_in_expectation():
     dyn = TargetDynamics(q_diag=np.array([1.0, 1.0, 0.0]))
-    base = belief_from(np.random.default_rng(0).normal(50.0, 5.0, size=(200, 3)),
+    base = belief_from(np.random.default_rng(0).normal(50.0, 5.0, size=(200, 2)),
                        np.full(200, 1.0 / 200))
-    base.particles[:, 2] = 1.0
     grew = 0
     for seed in range(100):
         out = tracker.predict(base, dyn, np.random.default_rng(seed).standard_normal((200, 3)))
@@ -82,20 +81,22 @@ def test_predict_spread_grows_in_expectation():
 def test_predict_matches_clamped_random_walk_bit_for_bit():
     rng = np.random.default_rng(31)
     n = 500
-    pts = np.column_stack([rng.uniform(0, 100, n), rng.uniform(0, 50, n), np.full(n, 1.5)])
+    pts = np.column_stack([rng.uniform(0, 100, n), rng.uniform(0, 50, n)])
     pts[:20, 0] = 0.0  # on the edges, so the clamp bites
     pts[20:40, 1] = 50.0
-    b = belief_from(pts, np.full(n, 1.0 / n))
+    b = belief_from(pts, np.full(n, 1.0 / n), height=1.5)
     dyn = TargetDynamics(q_diag=np.array([4.0, 0.25, 0.0]))
     area = Area(0.0, 100.0, 0.0, 50.0)
     for clamp in (None, area):
         rng_a = np.random.default_rng(8)
         rng_b = copy.deepcopy(rng_a)
         out = tracker.predict(b, dyn, rng_a.standard_normal((n, 3)), clamp)
-        want = pts + random_walk_displacements(n, dyn, rng_b)
+        want = pts + random_walk_displacements(n, dyn, rng_b)[:, :2]
         if clamp is not None:
-            want[:, :2] = area.clamp(want[:, :2])
+            want = area.clamp(want)
+        assert out.particles.shape == (n, 2) and out.particles.flags.c_contiguous
         assert out.particles.tobytes() == want.tobytes()
+        assert out.height == 1.5
         assert rng_a.bit_generator.state == rng_b.bit_generator.state  # same draws consumed
     assert np.array_equal(b.particles, pts)  # the input belief is untouched
 
@@ -103,7 +104,7 @@ def test_predict_matches_clamped_random_walk_bit_for_bit():
 @pytest.mark.parametrize("shape", [(499, 3), (500, 2), (1500,)],
                          ids=["short", "two_columns", "flat"])
 def test_predict_rejects_wrong_noise_shape(shape):
-    b = belief_from(np.zeros((500, 3)), np.full(500, 1.0 / 500))
+    b = belief_from(np.zeros((500, 2)), np.full(500, 1.0 / 500))
     with pytest.raises(ValueError, match="noise block"):
         tracker.predict(b, TargetDynamics(), np.zeros(shape))
 
@@ -127,7 +128,8 @@ def test_summaries_follow_every_belief_change():
     def check(b):
         mean, sigma = fresh_summary(b)
         for _ in range(2):  # the second round reads the kept values
-            np.testing.assert_allclose(tracker.estimate(b).position, mean, rtol=1e-12)
+            np.testing.assert_allclose(tracker.estimate(b).position[:2], mean, rtol=1e-12)
+            assert tracker.estimate(b).position[2] == b.height
             assert tracker.uncertainty(b) == pytest.approx(sigma, rel=1e-12)
 
     b = tracker.init_belief(1, area, 1.0, cfg, rng)
@@ -150,7 +152,7 @@ def test_summaries_follow_every_belief_change():
     check(b)
     b = replace(b, weights=dyadic_weights(rng, 400))
     check(b)
-    b = replace(b, particles=b.particles + np.array([10.0, -20.0, 0.0]))
+    b = replace(b, particles=b.particles + np.array([10.0, -20.0]))
     check(b)
     b = replace(b, particles=b.particles[::-1].copy())
     check(b)
@@ -158,14 +160,14 @@ def test_summaries_follow_every_belief_change():
 
 @pytest.mark.parametrize("name", [f.name for f in fields(tracker.ObjectBelief)])
 def test_belief_is_frozen(name):
-    b = belief_from(np.zeros((4, 3)), np.full(4, 0.25))
+    b = belief_from(np.zeros((4, 2)), np.full(4, 0.25))
     with pytest.raises(FrozenInstanceError):
         setattr(b, name, getattr(b, name))
 
 
 def test_update_constant_likelihood_keeps_weights():
     # identical particles give bitwise-identical likelihoods
-    pts = np.tile(np.array([100.0, 0.0, 1.0]), (4, 1))
+    pts = np.tile(np.array([100.0, 0.0]), (4, 1))
     b = belief_from(pts, [0.25, 0.25, 0.25, 0.25])
     cfg = rf.PropagationConfig()
     z = rf.Measurement(tag_id=1, rssi=-80.0)
@@ -184,7 +186,7 @@ def test_update_three_to_one_ratio():
     h2 = rf.received_power(ObjectState(p2, 1), uav, cfg)
     # choose z so that g1/g2 = 3: (z-h2)^2 - (z-h1)^2 = 2*Q*ln 3
     z = (2.0 * 25.0 * math.log(3.0) + h1 * h1 - h2 * h2) / (2.0 * (h1 - h2))
-    b = belief_from([p1, p2], [0.5, 0.5])
+    b = belief_from([p1[:2], p2[:2]], [0.5, 0.5], height=1.0)
     out = tracker.update(b, rf.Measurement(1, z), uav, cfg)
     assert out.weights[0] == pytest.approx(0.75, abs=1e-12)
     assert out.weights[1] == pytest.approx(0.25, abs=1e-12)
@@ -195,11 +197,10 @@ def test_update_matches_high_precision_oracle():
     cfg = rf.PropagationConfig()
     uav = make_uav(heading=0.7)
     for _ in range(20):
-        pts = np.column_stack([rng.uniform(-200, 200, 5), rng.uniform(-200, 200, 5),
-                               np.full(5, 1.0)])
+        pts = np.column_stack([rng.uniform(-200, 200, 5), rng.uniform(-200, 200, 5)])
         w = dyadic_weights(rng, 5)
         z = float(rng.uniform(-120, -60))
-        ll = rf.log_likelihood_array(z, pts, uav, cfg)
+        ll = rf.log_likelihood_array(z, pts, uav, cfg, 1.0)
         want = posterior_weights_mpmath(w, ll)
         out = tracker.update(belief_from(pts, w), rf.Measurement(1, z), uav, cfg)
         np.testing.assert_allclose(out.weights, want, rtol=1e-12)
@@ -207,15 +208,15 @@ def test_update_matches_high_precision_oracle():
 
 def test_update_underflow_resets_uniform_and_flags():
     uav = make_uav(10.0, 10.0, 30.0)
-    pts = np.tile(uav.position, (8, 1))  # all particles coincide with the observer
-    b = belief_from(pts, np.full(8, 1.0 / 8))
+    pts = np.tile(uav.position[:2], (8, 1))  # all particles coincide with the observer
+    b = belief_from(pts, np.full(8, 1.0 / 8), height=uav.position[2])
     out = tracker.update(b, rf.Measurement(1, -80.0), uav, rf.PropagationConfig())
     assert out.diverged
     assert np.all(out.weights == 1.0 / 8)
 
 
 def test_update_tag_mismatch_raises():
-    b = belief_from([[0.0, 0.0, 1.0]], [1.0], tag_id=2)
+    b = belief_from([[0.0, 0.0]], [1.0], tag_id=2)
     with pytest.raises(ValueError):
         tracker.update(b, rf.Measurement(tag_id=1, rssi=-80.0), make_uav(),
                        rf.PropagationConfig())
@@ -223,14 +224,14 @@ def test_update_tag_mismatch_raises():
 
 def test_resample_uniform_weights_identity():
     rng = np.random.default_rng(0)
-    b = belief_from(rng.uniform(0, 10, size=(16, 3)), np.full(16, 1.0 / 16))
+    b = belief_from(rng.uniform(0, 10, size=(16, 2)), np.full(16, 1.0 / 16))
     out = tracker.resample_if_needed(b, tracker.TrackerConfig(num_particles=16), rng)
     assert out is b  # ESS == N, no resampling
 
 
 def test_resample_degenerate_weight():
     rng = np.random.default_rng(0)
-    pts = np.array([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0], [4.0, 0, 0]])
+    pts = np.array([[1.0, 0], [2.0, 0], [3.0, 0], [4.0, 0]])
     b = belief_from(pts, [1.0, 0.0, 0.0, 0.0])
     cfg = tracker.TrackerConfig(num_particles=4, resample_threshold=0.5)
     out = tracker.resample_if_needed(b, cfg, rng)
@@ -251,28 +252,28 @@ def test_systematic_resample_copy_counts():
 
 
 def test_estimate_trivials():
-    b = belief_from([[5.0, 6.0, 1.0]], [1.0], tag_id=3)
+    b = belief_from([[5.0, 6.0]], [1.0], tag_id=3)
     est = tracker.estimate(b)
     assert np.array_equal(est.position, np.array([5.0, 6.0, 1.0]))
     assert est.tag_id == 3
 
-    b = belief_from([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.5, 0.5])
+    b = belief_from([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5], height=0.0)
     assert np.array_equal(tracker.estimate(b).position, np.array([1.0, 0.0, 0.0]))
 
-    b = belief_from([[0.0, 0, 0], [4.0, 0, 0]], [0.25, 0.75])
+    b = belief_from([[0.0, 0], [4.0, 0]], [0.25, 0.75])
     assert tracker.estimate(b).position[0] == pytest.approx(3.0, abs=1e-15)
 
 
 def test_uncertainty_trivials():
-    pts = np.tile(np.array([7.0, 8.0, 1.0]), (4, 1))
+    pts = np.tile(np.array([7.0, 8.0]), (4, 1))
     assert tracker.uncertainty(belief_from(pts, np.full(4, 0.25))) == 0.0
-    pts5 = np.tile(np.array([7.0, 8.0, 1.0]), (5, 1))
+    pts5 = np.tile(np.array([7.0, 8.0]), (5, 1))
     assert tracker.uncertainty(belief_from(pts5, np.full(5, 0.2))) < 1e-12
 
-    b = belief_from([[0.0, 5.0, 1.0], [2.0, 5.0, 1.0]], [0.5, 0.5])
+    b = belief_from([[0.0, 5.0], [2.0, 5.0]], [0.5, 0.5])
     assert tracker.uncertainty(b) == pytest.approx(1.0, abs=1e-15)
 
-    b = belief_from([[0.0, 0, 0], [4.0, 0, 0]], [0.25, 0.75])
+    b = belief_from([[0.0, 0], [4.0, 0]], [0.25, 0.75])
     assert tracker.uncertainty(b) == pytest.approx(math.sqrt(3.0), abs=1e-9)
 
 
@@ -313,13 +314,13 @@ def test_weights_normalized_after_update_and_resample():
 
 def test_mark_localized_is_monotone():
     cfg = tracker.TrackerConfig(num_particles=2, sigma_min=35.0)
-    tight = belief_from([[0.0, 0, 1], [1.0, 0, 1]], [0.5, 0.5])
+    tight = belief_from([[0.0, 0], [1.0, 0]], [0.5, 0.5])
     out = tracker.mark_localized(tight, cfg)
     assert out.localized
     # spread the particles far apart: the flag must not revert
     wide = tracker.ObjectBelief(tag_id=1,
-                                particles=np.array([[0.0, 0, 1], [500.0, 0, 1]]),
-                                weights=np.array([0.5, 0.5]), localized=True)
+                                particles=np.array([[0.0, 0], [500.0, 0]]),
+                                weights=np.array([0.5, 0.5]), height=1.0, localized=True)
     assert tracker.mark_localized(wide, cfg) is wide
     # a belief whose flag does not change comes back as the same value
     assert tracker.mark_localized(out, cfg) is out
