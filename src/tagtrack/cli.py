@@ -25,8 +25,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override the void constraint (off emulates r_min = 0.001 m)")
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--out", default="out", help="output directory (default: out)")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv",
-                     help="per-step row format (summaries are always JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,6 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run a single mission")
     _add_common(sim)
+    sim.add_argument("--format", choices=["csv", "json"], default="csv",
+                     help="per-step row format (summaries are always JSON)")
 
     mc = subs.add_parser("montecarlo", help="run a Monte-Carlo batch")
     _add_common(mc)
@@ -84,7 +84,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     cfg = _load_with_overrides(args)
     mc = harness.run_montecarlo(cfg, trials=args.trials, parallelism=args.parallel)
-    written = harness.export_mc(mc, cfg, args.out, args.format)
+    written = harness.export_mc(mc, cfg, args.out)
     m = mc.metrics
     print(f"{args.trials} trials ({cfg.planner.kind}, void "
           f"{'on' if cfg.planner.void_enabled else 'off'}): "

@@ -119,13 +119,13 @@ class ScenarioConfig:
         fields = {}
         _read(d, _SCHEMA, "", base, fields)
         start = fields.pop("uav_start_xy", {})
-        try:
-            for name, value in fields.items():
-                if isinstance(value, dict):  # a sub-config: override its defaults
+        for name, value in fields.items():
+            if isinstance(value, dict):  # a sub-config: override its defaults
+                try:
                     fields[name] = replace(getattr(base, name), **value)
-            cfg = cls(**fields)
-        except ValueError as exc:  # a dataclass range check
-            raise ConfigError(f"invalid configuration: {exc}") from exc
+                except ValueError as exc:  # a dataclass range check
+                    raise ConfigError(f"invalid configuration: {name}: {exc}") from exc
+        cfg = cls(**fields)
         cfg.uav_start_xy = tuple(start.get(str(i), v) for i, v in enumerate(cfg.uav_start_xy))
         return cfg
 
@@ -374,11 +374,9 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     truths_initial = [tuple(map(float, t.position)) for t in targets]
 
     if cfg.tag_frequencies_mhz is not None:
-        rf_cfgs = [replace(cfg.rf, wavelength=rf_mod.wavelength_from_mhz(f))
-                   for f in cfg.tag_frequencies_mhz]
+        wavelengths = [rf_mod.wavelength_from_mhz(f) for f in cfg.tag_frequencies_mhz]
     else:
-        rf_cfgs = [cfg.rf] * n_tags
-    wavelengths = np.array([c.wavelength for c in rf_cfgs])
+        wavelengths = [cfg.rf.wavelength] * n_tags
 
     filter_dyn = cfg.filter_dynamics if cfg.filter_dynamics is not None else cfg.target_dynamics
     # "without void" runs keep the same code path with a vanishing safe radius
@@ -412,9 +410,10 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         for j in range(n_tags):
             if cfg.belief_init_mode == "at_truth":
                 b = tracker_mod.init_belief_at(j + 1, targets[j].position, cfg.belief_init_sigma,
-                                               cfg.tracker, filt_rngs[j], area)
+                                               wavelengths[j], cfg.tracker, filt_rngs[j], area)
             else:
-                b = tracker_mod.init_belief(j + 1, area, cfg.tag_height, cfg.tracker, filt_rngs[j])
+                b = tracker_mod.init_belief(j + 1, area, cfg.tag_height, wavelengths[j],
+                                            cfg.tracker, filt_rngs[j])
             beliefs.append(b)
         noise = [draw_noise(j) for j in range(n_tags)]
 
@@ -427,7 +426,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
             zs = rf_mod.sample_measurement(targets, uav, cfg.rf, meas_rngs, wavelengths, time_step=k)
             for j in range(n_tags):
                 b = tracker_mod.predict(beliefs[j], filter_dyn, noise[j].result(), area)
-                b = tracker_mod.update(b, zs[j], uav, rf_cfgs[j])
+                b = tracker_mod.update(b, zs[j], uav, cfg.rf)
                 if b.diverged:
                     divergences.append({"k": k, "tag_id": j + 1})
                 b = tracker_mod.resample_if_needed(b, cfg.tracker, filt_rngs[j])
@@ -447,7 +446,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
             if not all_localized and k % cfg.void.horizon == 0:
                 t_start = time.perf_counter()
                 action = planner_mod.select_action(beliefs, uav, kin, planner_void,
-                                                   cfg.planner, rf_cfgs, area)
+                                                   cfg.planner, cfg.rf, area)
                 plan_time = time.perf_counter() - t_start
                 if action is not None:
                     pending = list(action.rollout)
@@ -684,7 +683,7 @@ def audit_mc(mc: McSummary, cfg: ScenarioConfig) -> None:
 # planner benchmark
 
 
-def _bench_snapshot(particles: int, tags: int, seed: int):
+def _bench_snapshot(particles: int, tags: int, seed: int, wavelength: float):
     """Identical belief snapshots for timing: converging blobs in an open area with a
     clear line of sight from the observer to the lowest-spread object."""
     rng = np.random.default_rng(seed)
@@ -696,7 +695,8 @@ def _bench_snapshot(particles: int, tags: int, seed: int):
         sigma = 20.0 + 4.0 * abs(j - mid)  # the middle object has the lowest spread
         center = np.array([x, 700.0, 1.0])
         cfg_t = tracker_mod.TrackerConfig(num_particles=particles, sigma_min=35.0)
-        beliefs.append(tracker_mod.init_belief_at(j + 1, center, sigma, cfg_t, rng, area))
+        beliefs.append(tracker_mod.init_belief_at(j + 1, center, sigma, wavelength, cfg_t, rng,
+                                                  area))
     uav = UavState(position=np.array([xs[mid], 150.0, 30.0]), heading=math.pi / 2, speed=0.0)
     return beliefs, uav, area
 
@@ -715,10 +715,10 @@ def bench_planners(repetitions: int, particles: int = tracker_mod.TrackerConfig.
                                ("seed", seed, 0)):
         if value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
-    beliefs, uav, area = _bench_snapshot(particles, tags, seed)
+    rf_cfg = rf_mod.PropagationConfig()
+    beliefs, uav, area = _bench_snapshot(particles, tags, seed, rf_cfg.wavelength)
     kin = UavKinematics()
     void_cfg = planner_mod.VoidConfig(horizon=horizon, action_count=actions)
-    rf_cfgs = [rf_mod.PropagationConfig()] * tags
     out = {"meta": {"particles": particles, "tags": tags, "actions": actions,
                     "horizon": horizon, "repetitions": repetitions, "seed": seed}}
     for kind_name in ("lavapilot", "renyi", "shannon"):
@@ -727,7 +727,7 @@ def bench_planners(repetitions: int, particles: int = tracker_mod.TrackerConfig.
         times = []
         for _ in range(repetitions):
             t_start = time.perf_counter()
-            action = planner_mod.select_action(beliefs, uav, kin, void_cfg, kind, rf_cfgs, area)
+            action = planner_mod.select_action(beliefs, uav, kin, void_cfg, kind, rf_cfg, area)
             times.append(time.perf_counter() - t_start)
         stats = _stats(times)
         out[kind_name] = {
@@ -805,6 +805,7 @@ def export_mission(record: MissionRecord, cfg: ScenarioConfig, out_dir: str,
 
 
 def export_mc(mc: McSummary, cfg: ScenarioConfig, out_dir: str, fmt: str = "csv") -> list:
+    # fmt is unused (a batch writes JSON and a CSV heatmap); kept for positional callers
     os.makedirs(out_dir, exist_ok=True)
     written = []
     summary_path = os.path.join(out_dir, "mc_summary.json")

@@ -275,13 +275,16 @@ def _pseudo_update_reward(
     kind: PlannerKind,
     rf_cfg: rf.PropagationConfig,
 ) -> float:
-    """Reward of a predicted ideal (noiseless) measurement taken at the terminal pose."""
-    est = tracker.estimate(belief)
+    """Reward of a predicted ideal (noiseless) measurement taken at the terminal pose,
+    from a tag at the belief's estimate, height and carrier wavelength."""
+    est = tracker.estimate(belief).position
     try:
-        z_star = rf.received_power(est, terminal, rf_cfg)
+        z_star = float(rf.received_power_array(est[:2], terminal, rf_cfg, est[2],
+                                               belief.wavelength))
     except ValueError:  # estimate coincides with the pose; no usable prediction
         return 0.0
-    log_g = rf.log_likelihood_array(z_star, belief.particles, terminal, rf_cfg, belief.height)
+    log_g = rf.log_likelihood_array(z_star, belief.particles, terminal, rf_cfg, belief.height,
+                                    belief.wavelength)
     if kind.kind == "shannon":
         return shannon_reward(belief.weights, log_g)
     return renyi_reward(belief.weights, log_g, kind.alpha)
@@ -293,7 +296,7 @@ def info_gain_select(
     kin: UavKinematics,
     cfg: VoidConfig,
     kind: PlannerKind,
-    rf_cfgs,
+    rf_cfg: rf.PropagationConfig,
     area: Area | None = None,
 ) -> CandidateAction | None:
     """Reward-maximizing selection over the discrete headings plus stay-in-place.
@@ -302,15 +305,14 @@ def info_gain_select(
     its terminal rollout pose, over unlocalized objects only; candidates violating
     the void bound are discarded first. Ties break toward the lowest candidate
     index. If nothing qualifies the stay-in-place fallback is returned.
-    rf_cfgs holds one PropagationConfig per belief (per-tag carriers).
     """
-    active = [(b, c) for b, c in zip(beliefs, rf_cfgs, strict=True) if not b.localized]
+    active = [b for b in beliefs if not b.localized]
     if not active:
         return None
 
     def reward(gated) -> float:
         terminal = gated[2][-1]
-        return sum(_pseudo_update_reward(b, terminal, kind, c) for b, c in active)
+        return sum(_pseudo_update_reward(b, terminal, kind, rf_cfg) for b in active)
 
     candidates = [*_discrete_waypoints(uav, kin, cfg, area), ("stay", uav.xy.copy())]
     best = max(_gated(beliefs, uav, kin, cfg, area, candidates), key=reward, default=None)
@@ -325,20 +327,16 @@ def select_action(
     kin: UavKinematics,
     cfg: VoidConfig,
     kind: PlannerKind,
-    rf_cfgs,
+    rf_cfg: rf.PropagationConfig,
     area: Area | None = None,
 ) -> CandidateAction | None:
-    """Dispatch to the configured planner; rf_cfgs holds one PropagationConfig per belief."""
+    """Dispatch to the configured planner."""
     if kind.kind == "lavapilot":
         return lavapilot_select(beliefs, uav, kin, cfg, area)
-    return info_gain_select(beliefs, uav, kin, cfg, kind, rf_cfgs, area)
+    return info_gain_select(beliefs, uav, kin, cfg, kind, rf_cfg, area)
 
 
-def verify_void_bound(action: CandidateAction, cfg: VoidConfig, beliefs=None) -> bool:
-    """Safe-distance audit: the selected trajectory keeps the void probability at or
-    above the configured bound (recomputed from the beliefs when provided)."""
-    if beliefs is not None:
-        vp = trajectory_void_probability(beliefs, action.rollout, cfg.r_min)
-    else:
-        vp = action.void_prob
-    return vp >= cfg.b_min
+def verify_void_bound(action: CandidateAction, cfg: VoidConfig, beliefs) -> bool:
+    """Safe-distance audit: the selected trajectory keeps the void probability, recomputed
+    from the beliefs, at or above the configured bound."""
+    return trajectory_void_probability(beliefs, action.rollout, cfg.r_min) >= cfg.b_min

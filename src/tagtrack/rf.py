@@ -72,8 +72,12 @@ class PropagationConfig:
                      "rel_permittivity", "antenna_gain_max_db", "antenna_floor", "noise_var"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.antenna_table is not None and not np.all(np.isfinite(self.antenna_table)):
-            raise ValueError(f"antenna_table entries must be finite, got {self.antenna_table}")
+        if self.antenna_table is not None:
+            if not len(self.antenna_table) or any(np.shape(r) != (2,) for r in self.antenna_table):
+                raise ValueError("antenna_table must hold at least one (azimuth_rad, gain_db) row, "
+                                 f"got {self.antenna_table}")
+            if not np.all(np.isfinite(self.antenna_table)):
+                raise ValueError(f"antenna_table entries must be finite, got {self.antenna_table}")
         if not (2.0 <= self.path_loss_n <= 4.0):
             raise ValueError(f"path_loss_n must lie in [2, 4], got {self.path_loss_n}")
         if self.noise_var <= 0.0:
@@ -262,17 +266,18 @@ def sample_measurement(
 
 
 def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: PropagationConfig,
-                         height=0.0) -> np.ndarray:
+                         height=0.0, wavelength=None) -> np.ndarray:
     """Gaussian log-density of an RSSI value for candidate tag positions (..., 2) at
     `height` above the ground plane (a scalar, or one value per position; ground
-    level when left out).
+    level when left out) on the carrier `wavelength` (by default cfg.wavelength).
 
     Positions coincident with the observer get -inf (excluded by the void
     constraint in normal operation).
     """
     global _likelihood_calls
     _likelihood_calls += 1
-    h, d_sq = _model_power(positions, height, uav, cfg, cfg.wavelength)
+    h, d_sq = _model_power(positions, height, uav, cfg,
+                           cfg.wavelength if wavelength is None else wavelength)
     ll = np.subtract(rssi, h, out=h)
     ll *= ll
     ll *= -0.5 / cfg.noise_var

@@ -33,16 +33,17 @@ class ObjectBelief:
     """Weighted particle approximation of one tag's posterior, an immutable value.
 
     particles: (N, 2) horizontal positions in meters, C-contiguous; weights: (N,)
-    non-negative, summing to 1; height: the tag's fixed height in meters, one value
-    for every particle. `diverged` flags that the latest update underflowed and was
-    reset to uniform. The filter stages build a new belief rather than write into
-    these arrays.
+    non-negative, summing to 1; height and wavelength: the tag's fixed height and
+    carrier wavelength in meters, one value each for every particle. `diverged` flags
+    that the latest update underflowed and was reset to uniform. The filter stages
+    build a new belief rather than write into these arrays.
     """
 
     tag_id: int
     particles: np.ndarray
     weights: np.ndarray
     height: float
+    wavelength: float
     localized: bool = False
     diverged: bool = False
 
@@ -65,25 +66,27 @@ def init_belief(
     tag_id: int,
     area: Area,
     tag_height: float,
+    wavelength: float,
     cfg: TrackerConfig,
     rng: np.random.Generator,
 ) -> ObjectBelief:
     """Uniform particles over the 2D search area at the tag height, uniform weights."""
     n = cfg.num_particles
     return ObjectBelief(tag_id=tag_id, particles=area.sample(rng, n), weights=np.full(n, 1.0 / n),
-                        height=float(tag_height))
+                        height=float(tag_height), wavelength=float(wavelength))
 
 
 def init_belief_at(
     tag_id: int,
     position,
     sigma: float,
+    wavelength: float,
     cfg: TrackerConfig,
     rng: np.random.Generator,
     area: Area | None = None,
 ) -> ObjectBelief:
     """Particles drawn as a tight horizontal Gaussian blob around a known 3D position,
-    at its height.
+    at its height, for a tag on the given carrier wavelength.
 
     Used to construct converged beliefs for controlled experiments.
     """
@@ -94,7 +97,7 @@ def init_belief_at(
     if area is not None:
         pts = area.clamp(pts)
     return ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
-                        height=float(center[2]))
+                        height=float(center[2]), wavelength=float(wavelength))
 
 
 def predict(
@@ -132,14 +135,16 @@ def update(
     uav: UavState,
     cfg: rf.PropagationConfig,
 ) -> ObjectBelief:
-    """Bayes reweighting by the measurement likelihood, log-sum-exp stabilized.
+    """Bayes reweighting by the measurement likelihood at the belief's height and
+    carrier wavelength, log-sum-exp stabilized.
 
     If every likelihood underflows (all particles coincident with the observer),
     the weights reset to uniform and the belief is flagged diverged.
     """
     if z.tag_id != belief.tag_id:
         raise ValueError(f"measurement tag {z.tag_id} does not match belief tag {belief.tag_id}")
-    logw = rf.log_likelihood_array(z.rssi, belief.particles, uav, cfg, belief.height)
+    logw = rf.log_likelihood_array(z.rssi, belief.particles, uav, cfg, belief.height,
+                                   belief.wavelength)
     with np.errstate(divide="ignore"):
         logw += np.log(belief.weights)
     m = np.max(logw)

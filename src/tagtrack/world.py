@@ -105,7 +105,10 @@ class TargetDynamics:
     q_diag: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
 
     def __post_init__(self):
-        self.q_diag = np.asarray(self.q_diag, dtype=float).reshape(3)
+        q_diag = np.asarray(self.q_diag, dtype=float)
+        if q_diag.size != 3:
+            raise ValueError(f"q_diag must hold 3 variances (x, y, z), got {q_diag.size}")
+        self.q_diag = q_diag.reshape(3)
         if not np.all((self.q_diag >= 0.0) & (self.q_diag < math.inf)):
             raise ValueError("process noise variances must be non-negative and finite")
         if self.q_diag[2] != 0.0:

@@ -94,6 +94,8 @@ def test_montecarlo_cli(tmp_path):
                          "--parallel", parallel, "--out", str(tmp_path / "bad")])
         assert code == 2
     assert not (tmp_path / "bad").exists()
+    with pytest.raises(SystemExit):  # --format picks the row format of `simulate` only
+        cli.main(["montecarlo", "--config", config, "--format", "json", "--out", str(out)])
 
 
 def test_bench_cli(tmp_path, capsys):
@@ -147,6 +149,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     ({"tracker": {"num_particle": 500}}, "tracker.num_particle"),
     ({"num_tag": 2}, "num_tag"),
     ({"rf": {"antenna_table": [[0.0, float("nan")], [3.0, 0.0]]}}, "rf.antenna_table"),
+    ({"rf": {"antenna_table": []}}, "rf: antenna_table"),
+    ({"void": {"b_min": 2.0}}, "void: b_min"),
+    ({"target_dynamics": {"q_diag_m2": [1.0, 1.0]}}, "target_dynamics: q_diag must hold 3"),
     ({"tag_frequencies_mhz": ["150", "151"]}, "tag_frequencies_mhz"),
     ({"tag_height_m": 30.0, "num_tags": 1, "tag_positions": [[150.0, 150.0]],
       "target_dynamics": {"q_diag_m2": [0.0, 0.0, 0.0]}}, "kinematics.altitude_m"),
@@ -154,7 +159,8 @@ def test_config_error_exit_code(tmp_path, capsys):
 ], ids=["zero_frequency", "negative_frequency", "nan_noise_var", "nan_wavelength",
         "nan_tag_height", "negative_tag_height", "nan_scalar", "nan_list_entry",
         "string_number", "string_bool", "non_integral_int", "bool_as_int", "unknown_nested_key",
-        "unknown_top_level_key", "nan_antenna_table", "string_frequencies",
+        "unknown_top_level_key", "nan_antenna_table", "empty_antenna_table", "sub_config_range",
+        "short_q_diag", "string_frequencies",
         "observer_at_tag_height", "negative_seed"])
 def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)

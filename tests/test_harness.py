@@ -210,7 +210,8 @@ def test_mission_filter_matches_sequential_replay():
     resampled = 0
     for j, ss in enumerate(filt_ss.spawn(cfg.num_tags)):
         rng = np.random.default_rng(ss)
-        b = tracker.init_belief(j + 1, cfg.area, cfg.tag_height, cfg.tracker, rng)
+        b = tracker.init_belief(j + 1, cfg.area, cfg.tag_height, cfg.rf.wavelength, cfg.tracker,
+                                rng)
         for s in rec.steps:
             uav = world.UavState(position=np.array([s.uav_x, s.uav_y, s.uav_z]),
                                  heading=s.uav_heading)
@@ -223,6 +224,23 @@ def test_mission_filter_matches_sequential_replay():
             assert tracker.uncertainty(b) == s.sigma[j]
             assert b.localized == s.localized[j]
     assert resampled > 0  # the resampling offsets share each generator with the noise
+
+
+def test_one_carrier_for_all_tags_equals_no_tag_frequencies():
+    # each belief carries its tag's wavelength; when every tag sits on the configured
+    # carrier, listing the frequencies must not change a single non-timing output
+    rf_cfg = rf.PropagationConfig(wavelength=rf.wavelength_from_mhz(150.0))
+    cfg = small_config(planner=planner.PlannerKind(kind="renyi"), rf=rf_cfg)
+    shared = harness.run_mission(cfg)
+    per_tag = harness.run_mission(small_config(planner=cfg.planner, rf=rf_cfg,
+                                               tag_frequencies_mhz=[150.0, 150.0]))
+    assert shared.decisions
+    assert rows_signature(per_tag) == rows_signature(shared)
+    assert summary_signature(per_tag.summary) == summary_signature(shared.summary)
+
+    def decisions(record):
+        return [(d.k, d.label, d.fallback, d.void_prob, d.bound_ok) for d in record.decisions]
+    assert decisions(per_tag) == decisions(shared)
 
 
 def test_mission_seed_changes_outputs():

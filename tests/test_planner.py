@@ -20,13 +20,13 @@ def make_uav(x, y, z=30.0, heading=0.0, speed=0.0):
 def point_mass(x, y, tag_id=1, n=4):
     pts = np.tile(np.array([x, y]), (n, 1))
     return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
-                                height=1.0)
+                                height=1.0, wavelength=RF.wavelength)
 
 
 def blob(rng, x, y, sigma, tag_id=1, n=200):
     pts = np.column_stack([rng.normal(x, sigma, n), rng.normal(y, sigma, n)])
     return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
-                                height=1.0)
+                                height=1.0, wavelength=RF.wavelength)
 
 
 def test_in_void_trivials():
@@ -49,7 +49,8 @@ def test_void_probability_trivials():
     assert planner.void_probability(near, pose, 50.0) == 0.0
     # 0.3 of the mass inside -> 0.7
     pts = np.array([[10.0, 0.0], [200.0, 0.0]])
-    b = tracker.ObjectBelief(tag_id=1, particles=pts, weights=np.array([0.3, 0.7]), height=1.0)
+    b = tracker.ObjectBelief(tag_id=1, particles=pts, weights=np.array([0.3, 0.7]), height=1.0,
+                             wavelength=RF.wavelength)
     assert planner.void_probability(b, pose, 50.0) == pytest.approx(0.7, abs=1e-15)
 
 
@@ -59,11 +60,11 @@ def test_void_probability_permutation_invariant():
     w = dyadic_weights(rng, 16)
     pose = make_uav(5.0, -3.0)
     base = planner.void_probability(
-        tracker.ObjectBelief(1, pts, w, 1.0), pose, 60.0)
+        tracker.ObjectBelief(1, pts, w, 1.0, RF.wavelength), pose, 60.0)
     for _ in range(10):
         perm = rng.permutation(16)
         shuffled = planner.void_probability(
-            tracker.ObjectBelief(1, pts[perm], w[perm], 1.0), pose, 60.0)
+            tracker.ObjectBelief(1, pts[perm], w[perm], 1.0, RF.wavelength), pose, 60.0)
         assert shuffled == base
 
 
@@ -103,7 +104,7 @@ def test_trajectory_void_equals_brute_force():
             n = int(rng.integers(1, 17))
             pts = np.column_stack([rng.uniform(-100, 100, n), rng.uniform(-100, 100, n)])
             w = dyadic_weights(rng, n) if n > 1 else np.array([1.0])
-            beliefs.append(tracker.ObjectBelief(j + 1, pts, w, 1.0))
+            beliefs.append(tracker.ObjectBelief(j + 1, pts, w, 1.0, RF.wavelength))
             arrays.append((pts, w))
         n_poses = int(rng.integers(1, 12))
         poses = [make_uav(float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100)))
@@ -223,7 +224,7 @@ def test_lavapilot_infeasible_start_returns_stay_fallback():
     assert action.label == "stay"
     assert action.fallback
     assert action.void_prob < cfg.b_min
-    assert not planner.verify_void_bound(action, cfg)
+    assert not planner.verify_void_bound(action, cfg, beliefs)
 
 
 def test_lavapilot_escape_when_inside_void_disc():
@@ -249,10 +250,31 @@ def test_info_gain_evaluates_likelihoods():
     cfg = planner.VoidConfig()
     rf.reset_likelihood_calls()
     action = planner.info_gain_select(beliefs, make_uav(250.0, 250.0), KIN, cfg,
-                                      planner.PlannerKind(kind="shannon"), [RF],
+                                      planner.PlannerKind(kind="shannon"), RF,
                                       Area(0, 500, 0, 500))
     assert action is not None
     assert rf.likelihood_call_count() > 0
+
+
+def test_pseudo_update_reward_uses_the_belief_carrier():
+    # the reward predicts z* and scores the particles on the belief's own carrier,
+    # exactly as a config set to that carrier would
+    lam = rf.wavelength_from_mhz(151.5)
+    b = replace(blob(np.random.default_rng(5), 300.0, 200.0, 30.0), wavelength=lam)
+    terminal = make_uav(120.0, 80.0, heading=0.6)
+    own = replace(RF, wavelength=lam)
+    est = tracker.estimate(b).position
+    z_star = float(rf.received_power_array(est[:2], terminal, own, est[2]))
+    log_g = rf.log_likelihood_array(z_star, b.particles, terminal, own, b.height)
+    renyi, shannon = planner.PlannerKind(kind="renyi"), planner.PlannerKind(kind="shannon")
+    want = planner.renyi_reward(b.weights, log_g, renyi.alpha)
+    assert planner._pseudo_update_reward(b, terminal, renyi, RF) == want
+    want = planner.shannon_reward(b.weights, log_g)
+    assert planner._pseudo_update_reward(b, terminal, shannon, RF) == want
+    # and the carrier matters: the config's own wavelength scores differently
+    on_cfg = replace(b, wavelength=RF.wavelength)
+    assert (planner._pseudo_update_reward(on_cfg, terminal, renyi, RF)
+            != planner._pseudo_update_reward(b, terminal, renyi, RF))
 
 
 def test_shannon_reward_hand_case():
@@ -281,7 +303,7 @@ def test_info_gain_uniform_likelihood_breaks_ties_to_first_candidate():
     cfg = planner.VoidConfig()
     for kind_name in ("shannon", "renyi"):
         action = planner.info_gain_select(beliefs, make_uav(400.0, 100.0), KIN, cfg,
-                                          planner.PlannerKind(kind=kind_name), [RF])
+                                          planner.PlannerKind(kind=kind_name), RF)
         assert action.label == "discrete_00"
 
 
@@ -290,7 +312,7 @@ def test_info_gain_respects_void_gate():
     beliefs = [point_mass(180.0, 100.0, 1)]  # due east of the observer, 80 m away
     uav = make_uav(100.0, 100.0)
     action = planner.info_gain_select(beliefs, uav, KIN, cfg,
-                                      planner.PlannerKind(kind="renyi"), [RF])
+                                      planner.PlannerKind(kind="renyi"), RF)
     assert action is not None and not action.fallback
     assert action.void_prob >= cfg.b_min
     # heading 0 points straight at the point mass and must have been discarded
@@ -300,11 +322,8 @@ def test_info_gain_respects_void_gate():
 def test_info_gain_all_localized_returns_none():
     b = replace(point_mass(0.0, 0.0), localized=True)
     action = planner.info_gain_select([b], make_uav(100.0, 0.0), KIN, planner.VoidConfig(),
-                                      planner.PlannerKind(kind="renyi"), [RF])
+                                      planner.PlannerKind(kind="renyi"), RF)
     assert action is None
-    with pytest.raises(ValueError):  # one propagation config per belief
-        planner.info_gain_select([b], make_uav(100.0, 0.0), KIN, planner.VoidConfig(),
-                                 planner.PlannerKind(kind="renyi"), [RF, RF])
 
 
 def test_info_gain_infeasible_start_returns_stay_fallback():
@@ -312,7 +331,7 @@ def test_info_gain_infeasible_start_returns_stay_fallback():
     # violates the bound, so the planner reports the stay-in-place fallback
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
     action = planner.info_gain_select([point_mass(75.0, 0.0)], make_uav(100.0, 0.0), KIN, cfg,
-                                      planner.PlannerKind(kind="shannon"), [RF])
+                                      planner.PlannerKind(kind="shannon"), RF)
     assert action.label == "stay"
     assert action.fallback
     assert action.void_prob < cfg.b_min
@@ -326,7 +345,7 @@ def test_info_gain_gated_stay_when_only_staying_passes():
                           500.0 + 90.0 * math.sin(2.0 * math.pi * i / cfg.action_count), i + 1)
                for i in range(cfg.action_count)]
     action = planner.info_gain_select(beliefs, make_uav(500.0, 500.0), KIN, cfg,
-                                      planner.PlannerKind(kind="renyi"), [RF] * len(beliefs))
+                                      planner.PlannerKind(kind="renyi"), RF)
     assert action.label == "stay"
     assert not action.fallback
     assert action.void_prob == 1.0
@@ -336,14 +355,12 @@ def test_verify_void_bound():
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
     beliefs = [point_mass(0.0, 0.0)]
     good = planner.lavapilot_select(beliefs, make_uav(200.0, 0.0), KIN, cfg)
-    assert planner.verify_void_bound(good, cfg)
     assert planner.verify_void_bound(good, cfg, beliefs)
     bad_rollout = uav_rollout(make_uav(60.0, 0.0), (0.0, 0.0), KIN, cfg.horizon, 1.0)
     bad = planner.CandidateAction(waypoint=np.zeros(2), rollout=bad_rollout,
                                   void_prob=planner.trajectory_void_probability(
                                       beliefs, bad_rollout, cfg.r_min),
                                   label="discrete_06")
-    assert not planner.verify_void_bound(bad, cfg)
     assert not planner.verify_void_bound(bad, cfg, beliefs)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,9 @@ def test_scalar_height_equals_per_row_heights_bit_for_bit(mode, table):
         one = rf.received_power_array(xy, uav, cfg, z)
         per_row = rf.received_power_array(xy, uav, cfg, rows, np.full(len(xy), cfg.wavelength))
         assert one.tobytes() == per_row.tobytes()
+        # a carrier passed in equals the same carrier set in the config
+        own = rf.log_likelihood_array(-75.0, xy, uav, replace(cfg, wavelength=0.9), z)
+        assert own.tobytes() == rf.log_likelihood_array(-75.0, xy, uav, cfg, z, 0.9).tobytes()
     # at the observer's altitude the particles straight below it coincide with it
     z = float(uav.position[2])
     one = rf.log_likelihood_array(-75.0, xy, uav, cfg, z)
@@ -294,6 +298,9 @@ def test_likelihood_call_counter():
 def test_config_validation():
     with pytest.raises(ValueError):
         rf.PropagationConfig(path_loss_n=1.5)
+    for table in ((), ((0.0, 1.0, 2.0),), ((0.0, 1.0), (2.0,))):
+        with pytest.raises(ValueError, match="antenna_table"):
+            rf.PropagationConfig(antenna_table=table)
     with pytest.raises(ValueError):
         rf.PropagationConfig(noise_var=0.0)
     with pytest.raises(ValueError):

@@ -18,13 +18,14 @@ def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
 def belief_from(particles, weights, tag_id=1, height=1.0):
     return tracker.ObjectBelief(tag_id=tag_id,
                                 particles=np.asarray(particles, dtype=float),
-                                weights=np.asarray(weights, dtype=float), height=height)
+                                weights=np.asarray(weights, dtype=float), height=height,
+                                wavelength=2.0)
 
 
 def test_init_belief_uniform():
     area = Area(0.0, 10.0, 0.0, 10.0)
     cfg = tracker.TrackerConfig(num_particles=4)
-    b = tracker.init_belief(1, area, 1.0, cfg, np.random.default_rng(0))
+    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(0))
     assert b.particles.shape == (4, 2) and b.particles.flags.c_contiguous
     assert np.all(b.weights == 0.25)
     assert b.height == 1.0
@@ -35,7 +36,7 @@ def test_init_belief_uniform():
 def test_init_belief_mean_near_center():
     area = Area(0.0, 1000.0, 0.0, 1000.0)
     cfg = tracker.TrackerConfig(num_particles=10_000)
-    b = tracker.init_belief(1, area, 1.0, cfg, np.random.default_rng(1))
+    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(1))
     est = tracker.estimate(b)
     assert abs(est.position[0] - 500.0) < 20.0
     assert abs(est.position[1] - 500.0) < 20.0
@@ -44,8 +45,8 @@ def test_init_belief_mean_near_center():
 def test_init_belief_deterministic():
     area = Area(0.0, 100.0, 0.0, 100.0)
     cfg = tracker.TrackerConfig(num_particles=256)
-    a = tracker.init_belief(1, area, 1.0, cfg, np.random.default_rng(5))
-    b = tracker.init_belief(1, area, 1.0, cfg, np.random.default_rng(5))
+    a = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(5))
+    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(5))
     assert np.array_equal(a.particles, b.particles)
 
 
@@ -132,7 +133,7 @@ def test_summaries_follow_every_belief_change():
             assert tracker.estimate(b).position[2] == b.height
             assert tracker.uncertainty(b) == pytest.approx(sigma, rel=1e-12)
 
-    b = tracker.init_belief(1, area, 1.0, cfg, rng)
+    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, rng)
     check(b)
     resampled = 0
     for k in range(40):
@@ -301,7 +302,7 @@ def test_weights_normalized_after_update_and_resample():
     cfg = rf.PropagationConfig()
     tcfg = tracker.TrackerConfig(num_particles=300)
     area = Area(0.0, 500.0, 0.0, 500.0)
-    b = tracker.init_belief(1, area, 1.0, tcfg, rng)
+    b = tracker.init_belief(1, area, 1.0, 2.0, tcfg, rng)
     uav = make_uav(250.0, 250.0)
     for k in range(30):
         z = float(rng.uniform(-130, -60))
@@ -320,7 +321,8 @@ def test_mark_localized_is_monotone():
     # spread the particles far apart: the flag must not revert
     wide = tracker.ObjectBelief(tag_id=1,
                                 particles=np.array([[0.0, 0], [500.0, 0]]),
-                                weights=np.array([0.5, 0.5]), height=1.0, localized=True)
+                                weights=np.array([0.5, 0.5]), height=1.0, wavelength=2.0,
+                                localized=True)
     assert tracker.mark_localized(wide, cfg) is wide
     # a belief whose flag does not change comes back as the same value
     assert tracker.mark_localized(out, cfg) is out
