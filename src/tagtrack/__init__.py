@@ -8,14 +8,13 @@ from .harness import (
     ScenarioConfig,
     VoidAuditError,
     bench_planners,
-    compute_rms,
     run_mission,
     run_montecarlo,
 )
 from .planner import CandidateAction, PlannerKind, VoidConfig
 from .rf import Measurement, PropagationConfig
 from .tracker import ObjectBelief, TrackerConfig
-from .world import Area, ObjectState, TargetDynamics, UavKinematics, UavState
+from .world import Area, TargetDynamics, UavKinematics, UavState
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,6 @@ __all__ = [
     "Measurement",
     "MissionRecord",
     "ObjectBelief",
-    "ObjectState",
     "PlannerKind",
     "PropagationConfig",
     "ScenarioConfig",
@@ -38,7 +36,6 @@ __all__ = [
     "VoidAuditError",
     "VoidConfig",
     "bench_planners",
-    "compute_rms",
     "run_mission",
     "run_montecarlo",
     "__version__",

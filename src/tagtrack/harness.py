@@ -16,14 +16,7 @@ import numpy as np
 from . import planner as planner_mod
 from . import rf as rf_mod
 from . import tracker as tracker_mod
-from .world import (
-    Area,
-    ObjectState,
-    TargetDynamics,
-    UavKinematics,
-    UavState,
-    target_step,
-)
+from .world import Area, TargetDynamics, UavKinematics, UavState, target_step
 
 SCHEMA_VERSION = 2
 HEATMAP_BIN_M = 10.0
@@ -116,15 +109,16 @@ class ScenarioConfig:
         """Parse the JSON config: absent keys keep the dataclass defaults, and an unknown
         key or a value not of its attribute's type is a ConfigError naming the key."""
         base = cls(filter_dynamics=TargetDynamics())  # the defaults, optional section included
-        fields = {}
-        _read(d, _SCHEMA, "", base, fields)
+        fields, keys = {}, {}
+        _read(d, _SCHEMA, "", base, fields, keys)
         start = fields.pop("uav_start_xy", {})
         for name, value in fields.items():
             if isinstance(value, dict):  # a sub-config: override its defaults
                 try:
                     fields[name] = replace(getattr(base, name), **value)
                 except ValueError as exc:  # a dataclass range check
-                    raise ConfigError(f"invalid configuration: {name}: {exc}") from exc
+                    key = _rejected_key(getattr(base, name), name, value, keys)
+                    raise ConfigError(f"invalid configuration: {key}: {exc}") from exc
         cfg = cls(**fields)
         cfg.uav_start_xy = tuple(start.get(str(i), v) for i, v in enumerate(cfg.uav_start_xy))
         return cfg
@@ -191,9 +185,10 @@ def _write(cfg: ScenarioConfig, schema: dict) -> dict:
     return out
 
 
-def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict) -> None:
+def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict, keys: dict) -> None:
     """Check the JSON object `d` against `schema`, collecting each attribute's value
-    in `fields`, and a sub-config field's in `fields[sub-config]`."""
+    in `fields`, and a sub-config field's in `fields[sub-config]`; `keys` maps each
+    attribute path read to the dotted JSON key that set it."""
     if not isinstance(d, dict):
         raise ConfigError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {d!r}")
     for key, value in d.items():
@@ -208,12 +203,24 @@ def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict) -> N
         elif isinstance(path, dict):
             if key in _NULLABLE_SECTIONS:
                 fields.setdefault(key, {})  # present, so built from the defaults
-            _read(value, path, dotted + ".", base, fields)
+            _read(value, path, dotted + ".", base, fields, keys)
         else:
             value = _checked(dotted, value, _get(base, path), _LISTS.get(path))
             name, _, attr = path.partition(".")
             target = fields.setdefault(name, {}) if attr else fields
             target[attr or name] = value
+            keys[path] = dotted
+
+
+def _rejected_key(default, name: str, value: dict, keys: dict) -> str:
+    """The JSON key of the first field in `value` that sub-config `name` rejects on its
+    own, or the section name when only a combination of fields is rejected."""
+    for attr, v in value.items():
+        try:
+            replace(default, **{attr: v})
+        except ValueError:
+            return keys[f"{name}.{attr}"]
+    return name
 
 
 # -- input checks: JSON values to attribute types
@@ -333,16 +340,6 @@ def _stats(values) -> dict:
             "max": float(np.max(arr)), "median": float(np.median(arr))}
 
 
-def compute_rms(estimates, truths) -> float:
-    """Root of the mean squared 3D error between matched estimates and truths."""
-    est = np.asarray(estimates, dtype=float)
-    tru = np.asarray(truths, dtype=float)
-    if est.shape != tru.shape:
-        raise ValueError(f"mismatched shapes: {est.shape} vs {tru.shape}")
-    d2 = np.sum((est - tru) ** 2, axis=-1)
-    return float(np.sqrt(np.mean(d2)))
-
-
 # ---------------------------------------------------------------------------
 # the closed loop
 
@@ -365,13 +362,20 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     meas_rngs = [np.random.default_rng(s) for s in meas_ss.spawn(n_tags)]
     filt_rngs = [np.random.default_rng(s) for s in filt_ss.spawn(n_tags)]
 
+    # the true tags: (T, 2) horizontal positions, all at the one tag height
     if cfg.tag_positions is not None:
         tag_xy = np.asarray(cfg.tag_positions, dtype=float)
     else:
         tag_xy = area.sample(scen_rng, n_tags)
-    targets = [ObjectState(np.array([xy[0], xy[1], cfg.tag_height]), tag_id=j + 1)
-               for j, xy in enumerate(tag_xy)]
-    truths_initial = [tuple(map(float, t.position)) for t in targets]
+    height = float(cfg.tag_height)
+
+    def truths():
+        return [(float(x), float(y), height) for x, y in tag_xy]
+
+    def tag_error(j):
+        return float(np.linalg.norm(tracker_mod.estimate(beliefs[j]) - (*tag_xy[j], height)))
+
+    truths_initial = truths()
 
     if cfg.tag_frequencies_mhz is not None:
         wavelengths = [rf_mod.wavelength_from_mhz(f) for f in cfg.tag_frequencies_mhz]
@@ -409,7 +413,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         beliefs = []
         for j in range(n_tags):
             if cfg.belief_init_mode == "at_truth":
-                b = tracker_mod.init_belief_at(j + 1, targets[j].position, cfg.belief_init_sigma,
+                b = tracker_mod.init_belief_at(j + 1, (*tag_xy[j], height), cfg.belief_init_sigma,
                                                wavelengths[j], cfg.tracker, filt_rngs[j], area)
             else:
                 b = tracker_mod.init_belief(j + 1, area, cfg.tag_height, wavelengths[j],
@@ -418,12 +422,12 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         noise = [draw_noise(j) for j in range(n_tags)]
 
         for k in range(1, n_steps + 1):
-            targets = [target_step(t, cfg.target_dynamics, dyn_rngs[j], area)
-                       for j, t in enumerate(targets)]
+            tag_xy = target_step(tag_xy, cfg.target_dynamics, dyn_rngs, area)
             if pending:
                 uav = pending.pop(0)
 
-            zs = rf_mod.sample_measurement(targets, uav, cfg.rf, meas_rngs, wavelengths, time_step=k)
+            zs = rf_mod.sample_measurement(tag_xy, height, uav, cfg.rf, meas_rngs, wavelengths,
+                                           time_step=k)
             for j in range(n_tags):
                 b = tracker_mod.predict(beliefs[j], filter_dyn, noise[j].result(), area)
                 b = tracker_mod.update(b, zs[j], uav, cfg.rf)
@@ -431,11 +435,9 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                     divergences.append({"k": k, "tag_id": j + 1})
                 b = tracker_mod.resample_if_needed(b, cfg.tracker, filt_rngs[j])
                 noise[j] = draw_noise(j)
-                b = tracker_mod.mark_localized(b, cfg.tracker)
+                beliefs[j] = b = tracker_mod.mark_localized(b, cfg.tracker)
                 if b.localized and loc_error[j] is None:
-                    err = tracker_mod.estimate(b).position - targets[j].position
-                    loc_error[j] = float(np.linalg.norm(err))
-                beliefs[j] = b
+                    loc_error[j] = tag_error(j)
 
             all_localized = all(b.localized for b in beliefs)
             if all_localized:
@@ -463,7 +465,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                                                     void_prob=action.void_prob,
                                                     planning_time=plan_time, bound_ok=bound_ok))
 
-            ests = [tracker_mod.estimate(b).position for b in beliefs]
+            ests = [tracker_mod.estimate(b) for b in beliefs]
             steps.append(MissionStep(
                 k=k,
                 uav_x=float(uav.position[0]), uav_y=float(uav.position[1]),
@@ -483,8 +485,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
 
     for j in range(n_tags):
         if loc_error[j] is None:
-            err = tracker_mod.estimate(beliefs[j]).position - targets[j].position
-            loc_error[j] = float(np.linalg.norm(err))
+            loc_error[j] = tag_error(j)
 
     localized = [b.localized for b in beliefs]
     summary = MissionSummary(
@@ -499,7 +500,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         violation_events=violations,
         divergence_events=divergences,
         tag_truths_initial=truths_initial,
-        tag_truths_final=[tuple(map(float, t.position)) for t in targets],
+        tag_truths_final=truths(),
     )
     return MissionRecord(steps=steps, decisions=decisions, summary=summary)
 
@@ -605,22 +606,6 @@ class McSummary:
             },
             "min_nonfallback_void_prob": self.min_nonfallback_void_prob,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McSummary":
-        hm = d["heatmap"]
-        return cls(
-            trials=d["trials"],
-            planner_kind=d["planner"],
-            void_enabled=d["void_enabled"],
-            metrics=d["metrics"],
-            heatmap_bin_m=hm["bin_m"],
-            heatmap_x0=hm["x0"],
-            heatmap_y0=hm["y0"],
-            heatmap_counts=hm["counts"],
-            total_poses=hm["total_poses"],
-            min_nonfallback_void_prob=d["min_nonfallback_void_prob"],
-        )
 
 
 def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> McSummary:

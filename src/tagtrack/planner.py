@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rf, tracker
-from .world import Area, ObjectState, UavKinematics, UavState, uav_rollout, wrap_heading
+from .world import Area, UavKinematics, UavState, uav_rollout
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,13 @@ class CandidateAction:
     fallback: bool = False
 
 
-def in_void(particle: ObjectState, uav_pose: UavState, r_min: float) -> bool:
-    """True iff the horizontal distance from particle to pose is strictly below r_min."""
-    dx = particle.position[0] - uav_pose.position[0]
-    dy = particle.position[1] - uav_pose.position[1]
-    return dx * dx + dy * dy < r_min * r_min
-
-
 def _rollout_xy(rollout) -> np.ndarray:
     return np.array([[p.position[0], p.position[1]] for p in rollout])
 
 
 def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r_min: float) -> np.ndarray:
-    """Belief mass inside the void disc of each pose; shape (H,).
+    """Belief mass inside the void disc of each pose, at a horizontal distance strictly
+    below r_min (a particle on the circle is outside); shape (H,).
 
     A bounding-box prefilter skips particles that cannot fall inside any disc.
     """
@@ -110,11 +104,6 @@ def _void_per_belief(beliefs, rollout, r_min: float):
     px, py = xy[:, 0], xy[:, 1]
     for belief in beliefs:
         yield 1.0 - float(np.max(_mass_inside(belief, px, py, r_min)))
-
-
-def void_probability(belief: tracker.ObjectBelief, uav_pose: UavState, r_min: float) -> float:
-    """One minus the belief mass inside the pose's void disc."""
-    return trajectory_void_probability([belief], [uav_pose], r_min)
 
 
 def trajectory_void_probability(beliefs, rollout, r_min: float) -> float:
@@ -210,7 +199,7 @@ def lavapilot_select(
     if not active:
         return None
     x_star = min(active, key=lambda b: (tracker.uncertainty(b), b.tag_id))
-    est_xy = tracker.estimate(x_star).position[:2]
+    est_xy = tracker.estimate(x_star)[:2]
 
     points = candidate_points_abc(uav, est_xy, cfg.r_min)
     if float(math.hypot(*(uav.xy - est_xy))) <= cfg.r_min:
@@ -277,7 +266,7 @@ def _pseudo_update_reward(
 ) -> float:
     """Reward of a predicted ideal (noiseless) measurement taken at the terminal pose,
     from a tag at the belief's estimate, height and carrier wavelength."""
-    est = tracker.estimate(belief).position
+    est = tracker.estimate(belief)
     try:
         z_star = float(rf.received_power_array(est[:2], terminal, rf_cfg, est[2],
                                                belief.wavelength))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .world import ObjectState, UavState
+from .world import UavState
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -142,14 +142,6 @@ def _fresnel_gamma(cfg: PropagationConfig, sin_psi, cos2_psi):
     return (sin_psi - root) / (sin_psi + root)
 
 
-def reflection_coefficient(cfg: PropagationConfig, psi) -> np.ndarray:
-    """Ground reflection coefficient for incidence angle psi above the ground plane."""
-    psi = np.asarray(psi, dtype=float)
-    if cfg.reflection_mode == "constant":
-        return np.full_like(psi, cfg.reflection_gamma)
-    return _fresnel_gamma(cfg, np.sin(psi), np.cos(psi) ** 2)
-
-
 def _model_power(xy, z, uav: UavState, cfg: PropagationConfig, wavelength):
     """Mean received power (dBm) for tags at horizontal positions xy (..., 2) and
     height z; also returns the squared 3D distance to the observer.
@@ -238,13 +230,9 @@ def received_power_array(positions, uav: UavState, cfg: PropagationConfig, heigh
     return h
 
 
-def received_power(obj: ObjectState, uav: UavState, cfg: PropagationConfig) -> float:
-    """Mean received power (dBm) from one tag."""
-    return float(received_power_array(obj.position[:2], uav, cfg, obj.position[2]))
-
-
 def sample_measurement(
-    targets,
+    xy,
+    height: float,
     uav: UavState,
     cfg: PropagationConfig,
     rngs,
@@ -253,16 +241,15 @@ def sample_measurement(
 ) -> list[Measurement]:
     """One noisy RSSI observation per target: mean power plus N(0, noise_var).
 
-    The mean powers of all targets come from one kernel call, with one carrier
-    wavelength per target; then each target's noise is drawn from its own generator
-    in `rngs`, in target order.
+    `xy` holds the (T, 2) horizontal target positions, all at `height`; target j is
+    tag j + 1. The mean powers of all targets come from one kernel call, with one
+    carrier wavelength per target; then each target's noise is drawn from its own
+    generator in `rngs`, in target order.
     """
-    pos = np.array([t.position for t in targets], dtype=float).reshape(-1, 3)
-    powers = received_power_array(pos[:, :2], uav, cfg, pos[:, 2],
-                                  np.asarray(wavelengths, dtype=float))
+    powers = received_power_array(xy, uav, cfg, height, np.asarray(wavelengths, dtype=float))
     sd = math.sqrt(cfg.noise_var)
-    return [Measurement(tag_id=t.tag_id, rssi=float(p + rng.normal(0.0, sd)), time_step=time_step)
-            for t, p, rng in zip(targets, powers, rngs, strict=True)]
+    return [Measurement(tag_id=j + 1, rssi=float(p + rng.normal(0.0, sd)), time_step=time_step)
+            for j, (p, rng) in enumerate(zip(powers, rngs, strict=True))]
 
 
 def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: PropagationConfig,
@@ -285,8 +272,3 @@ def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: Propagation
     if not d_sq.all():
         ll[d_sq == 0.0] = -np.inf
     return ll
-
-
-def log_likelihood(z: Measurement, particle: ObjectState, uav: UavState, cfg: PropagationConfig) -> float:
-    """Log-density of one measurement at one candidate tag state."""
-    return float(log_likelihood_array(z.rssi, particle.position[:2], uav, cfg, particle.position[2]))

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rf
-from .world import Area, ObjectState, TargetDynamics, UavState
+from .world import Area, TargetDynamics, UavState
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,10 @@ def resample_if_needed(
     return replace(belief, particles=belief.particles[idx], weights=np.full(n, 1.0 / n))
 
 
-def estimate(belief: ObjectBelief) -> ObjectState:
-    """The weighted mean of the particles, at the tag height."""
-    return ObjectState(position=np.append(belief.summary[0], belief.height), tag_id=belief.tag_id)
+def estimate(belief: ObjectBelief) -> np.ndarray:
+    """The weighted mean of the particles at the tag height: a fresh (3,) array
+    (mean x, mean y, height)."""
+    return np.append(belief.summary[0], belief.height)
 
 
 def uncertainty(belief: ObjectBelief) -> float:

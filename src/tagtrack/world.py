@@ -71,17 +71,6 @@ class UavState:
         return self.position[:2]
 
 
-@dataclass
-class ObjectState:
-    """A radio tag: 3D position at fixed height, identified by tag_id."""
-
-    position: np.ndarray
-    tag_id: int = 1
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-
-
 @dataclass(frozen=True)
 class UavKinematics:
     """Waypoint-following motion limits for the observer."""
@@ -120,17 +109,16 @@ def random_walk_displacements(n: int, dyn: TargetDynamics, rng: np.random.Genera
     return rng.normal(size=(n, 3)) * np.sqrt(dyn.q_diag)
 
 
-def target_step(
-    state: ObjectState,
-    dyn: TargetDynamics,
-    rng: np.random.Generator,
-    area: Area | None = None,
-) -> ObjectState:
-    """Advance a target one step of its random walk, clamped to the mission area."""
-    pos = state.position + random_walk_displacements(1, dyn, rng)[0]
-    if area is not None:
-        pos[:2] = area.clamp(pos[:2])
-    return ObjectState(position=pos, tag_id=state.tag_id)
+def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area | None = None) -> np.ndarray:
+    """Advance every target one step of its random walk, clamped to the mission area.
+
+    `xy` holds the (T, 2) horizontal target positions; target j draws its (1, 3)
+    displacement from rngs[j], in target order, and keeps the x and y columns (the
+    z column is zero: targets stay at their fixed height). Returns a fresh (T, 2) array.
+    """
+    step = np.concatenate([random_walk_displacements(1, dyn, rng) for rng in rngs])
+    pos = xy + step[:, :2]
+    return pos if area is None else area.clamp(pos)
 
 
 @lru_cache(maxsize=4096)
@@ -144,12 +132,12 @@ def _trapezoid_samples(
 ) -> tuple[tuple[float, float], ...]:
     """Integrate the 1D trapezoidal speed profile toward a waypoint at `distance`.
 
-    Forward-Euler at step EULER_DT_S; returns (arc_length, speed) sampled every step_period,
-    horizon samples total. Accelerates at `accel` up to v_max, cruises, and brakes so
-    the arc length never exceeds `distance`.
+    Forward-Euler at the step nearest EULER_DT_S that divides step_period; returns
+    (arc_length, speed) sampled every step_period, horizon samples total. Accelerates at
+    `accel` up to v_max, cruises, and brakes so the arc length never exceeds `distance`.
     """
-    dt = EULER_DT_S
-    n_fine = max(1, round(step_period / dt))
+    n_fine = max(1, round(step_period / EULER_DT_S))
+    dt = step_period / n_fine
     s = 0.0
     v = v0
     out = []

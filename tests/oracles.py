@@ -15,11 +15,15 @@ import numpy as np
 
 
 def rollout_positions_oracle(start_xy, start_speed, waypoint, v_max, accel, dt, horizon, t0):
-    """Fine-step 2D waypoint integrator: accelerate, cruise, brake-to-stop."""
+    """Fine-step 2D waypoint integrator: accelerate, cruise, brake-to-stop.
+
+    Each sample period t0 is integrated in the whole number of steps nearest t0 / dt,
+    each exactly t0 / n long."""
     pos = np.array(start_xy, dtype=float)
     wp = np.array(waypoint, dtype=float)
     v = float(start_speed)
-    n_fine = round(t0 / dt)
+    n_fine = max(1, round(t0 / dt))
+    dt = t0 / n_fine
     samples = []
     for _ in range(horizon):
         for _ in range(n_fine):

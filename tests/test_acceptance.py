@@ -192,11 +192,9 @@ def test_c5_oracle_equivalence_suite():
                                                 rng.uniform(-200, 200),
                                                 rng.uniform(10, 80)]),
                              heading=float(rng.uniform(0, 2 * math.pi)))
-        obj = world.ObjectState(position=np.array([rng.uniform(-500, 500),
-                                                   rng.uniform(-500, 500),
-                                                   rng.uniform(0.5, 2.0)]), tag_id=1)
-        got = rf.received_power(obj, uav, cfg)
-        want = two_ray_power_oracle(obj.position, uav.position, uav.heading, cfg)
+        obj = np.array([rng.uniform(-500, 500), rng.uniform(-500, 500), rng.uniform(0.5, 2.0)])
+        got = float(rf.received_power_array(obj[:2], uav, cfg, obj[2]))
+        want = two_ray_power_oracle(obj, uav.position, uav.heading, cfg)
         max_rf_err = max(max_rf_err, abs(got - want))
     rf_ok = max_rf_err < 1e-9
 
@@ -318,7 +316,7 @@ def test_c8_filter_sanity():
     tcfg = tracker.TrackerConfig(num_particles=10_000)
     jitter = world.TargetDynamics(q_diag=np.array([0.25, 0.25, 0.0]))
     uav = world.UavState(position=np.array([70.0, 100.0, 30.0]), heading=0.0)
-    truth = world.ObjectState(np.array([130.0, 100.0, 1.0]), 1)
+    truth = np.array([130.0, 100.0, 1.0])
 
     sigmas, errors = [], []
     for seed in range(50):
@@ -326,13 +324,13 @@ def test_c8_filter_sanity():
         meas_rng, filt_rng = (np.random.default_rng(s) for s in streams)
         b = tracker.init_belief(1, area, 1.0, rfc.wavelength, tcfg, filt_rng)
         for k in range(200):
-            z, = rf.sample_measurement([truth], uav, rfc, [meas_rng], [rfc.wavelength],
-                                       time_step=k)
+            z, = rf.sample_measurement(truth[None, :2], truth[2], uav, rfc, [meas_rng],
+                                       [rfc.wavelength], time_step=k)
             b = tracker.predict(b, jitter, filt_rng.standard_normal((tcfg.num_particles, 3)), area)
             b = tracker.update(b, z, uav, rfc)
             b = tracker.resample_if_needed(b, tcfg, filt_rng)
         sigmas.append(tracker.uncertainty(b))
-        errors.append(float(np.linalg.norm(tracker.estimate(b).position - truth.position)))
+        errors.append(float(np.linalg.norm(tracker.estimate(b) - truth)))
     elapsed = time.time() - t0
     mean_sigma = float(np.mean(sigmas))
     mean_err = float(np.mean(errors))

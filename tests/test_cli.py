@@ -149,9 +149,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     ({"tracker": {"num_particle": 500}}, "tracker.num_particle"),
     ({"num_tag": 2}, "num_tag"),
     ({"rf": {"antenna_table": [[0.0, float("nan")], [3.0, 0.0]]}}, "rf.antenna_table"),
-    ({"rf": {"antenna_table": []}}, "rf: antenna_table"),
-    ({"void": {"b_min": 2.0}}, "void: b_min"),
-    ({"target_dynamics": {"q_diag_m2": [1.0, 1.0]}}, "target_dynamics: q_diag must hold 3"),
+    ({"rf": {"antenna_table": []}}, "rf.antenna_table: antenna_table"),
+    ({"void": {"b_min": 2.0}}, "void.b_min: b_min"),
+    ({"target_dynamics": {"q_diag_m2": [1.0, 1.0]}},
+     "target_dynamics.q_diag_m2: q_diag must hold 3"),
     ({"tag_frequencies_mhz": ["150", "151"]}, "tag_frequencies_mhz"),
     ({"tag_height_m": 30.0, "num_tags": 1, "tag_positions": [[150.0, 150.0]],
       "target_dynamics": {"q_diag_m2": [0.0, 0.0, 0.0]}}, "kinematics.altitude_m"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tagtrack import harness, planner, rf, tracker, world
-from tagtrack.harness import McSummary, ScenarioConfig
+from tagtrack.harness import ScenarioConfig
 
 
 def small_config(**kw):
@@ -49,15 +49,21 @@ def strip_timing(d):
     return d
 
 
-def test_compute_rms_trivials():
-    est = [[0.0, 0.0, 0.0]]
-    assert harness.compute_rms(est, est) == 0.0
-    assert harness.compute_rms([[3.0, 4.0, 0.0]], [[0.0, 0.0, 0.0]]) == pytest.approx(5.0)
-    got = harness.compute_rms([[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert got == pytest.approx(math.sqrt(12.5), abs=1e-12)
-    with pytest.raises(ValueError):
-        harness.compute_rms([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+def test_mission_rms_is_root_mean_square_of_tag_errors():
+    s = harness.run_mission(small_config(max_flight_time=60.0)).summary
+    errors = np.asarray(s.per_tag_error)
+    assert errors.shape == (2,) and np.all(errors > 0.0) and errors[0] != errors[1]
+    assert s.rms == math.sqrt(np.mean(errors ** 2))
+
+
+def test_every_public_name_resolves():
+    # `from tagtrack import *` imports every name in __all__
+    import tagtrack
+
+    assert all(hasattr(tagtrack, name) for name in tagtrack.__all__)
+    namespace = {}
+    exec("from tagtrack import *", namespace)
+    assert set(tagtrack.__all__) <= set(namespace)
 
 
 def json_leaves(d, prefix=""):
@@ -136,6 +142,16 @@ def test_config_validation_errors():
         ScenarioConfig.from_dict({"schema_version": 1})
     with pytest.raises(harness.ConfigError):
         ScenarioConfig.from_dict({"planner": None})
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"step_period_s": 0.0}, "step_period_s"),
+    ({"void": {"r_min_m": 0.0}}, "void.r_min_m"),
+    ({"target_dynamics": {"q_diag_m2": [1.0, 1.0, 0.5]}}, "target_dynamics.q_diag_m2"),
+])
+def test_range_error_names_the_json_key(d, key):
+    with pytest.raises(harness.ConfigError, match=f"^invalid configuration: {key}: "):
+        ScenarioConfig.from_dict(d)
 
 
 NAN = float("nan")
@@ -220,7 +236,7 @@ def test_mission_filter_matches_sequential_replay():
             out = tracker.resample_if_needed(b, cfg.tracker, rng)
             resampled += out is not b
             b = tracker.mark_localized(out, cfg.tracker)
-            assert tuple(map(float, tracker.estimate(b).position)) == s.est[j]
+            assert tuple(map(float, tracker.estimate(b))) == s.est[j]
             assert tracker.uncertainty(b) == s.sigma[j]
             assert b.localized == s.localized[j]
     assert resampled > 0  # the resampling offsets share each generator with the noise
@@ -415,7 +431,7 @@ def test_mc_summary_round_trip():
     cfg = small_config(max_flight_time=40.0,
                        tracker=tracker.TrackerConfig(num_particles=300, sigma_min=35.0))
     mc = harness.run_montecarlo(cfg, trials=2)
-    assert McSummary.from_dict(json.loads(json.dumps(mc.to_dict()))) == mc
+    assert json.loads(json.dumps(mc.to_dict())) == mc.to_dict()
 
 
 def test_export_mission_csv(tmp_path):
@@ -457,7 +473,7 @@ def test_export_mc_and_heatmap(tmp_path):
     harness.export_mc(mc, cfg, str(tmp_path))
     payload = json.loads((tmp_path / "mc_summary.json").read_text())
     assert payload["kind"] == "mc_summary"
-    assert McSummary.from_dict(payload["summary"]) == mc
+    assert payload["summary"] == mc.to_dict()
     grid = [[int(v) for v in line.split(",")]
             for line in (tmp_path / "heatmap.csv").read_text().strip().split("\n")]
     assert grid == mc.heatmap_counts

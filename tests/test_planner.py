@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tagtrack import planner, rf, tracker
-from tagtrack.world import Area, ObjectState, UavKinematics, UavState, uav_rollout
+from tagtrack.world import Area, UavKinematics, UavState, uav_rollout
 
 from oracles import dyadic_weights, trajectory_void_brute, void_probability_brute
 
@@ -29,29 +29,33 @@ def blob(rng, x, y, sigma, tag_id=1, n=200):
                                 height=1.0, wavelength=RF.wavelength)
 
 
-def test_in_void_trivials():
+def void_probability(belief, pose, r_min):
+    """The void probability of one pose under one belief."""
+    return planner.trajectory_void_probability([belief], [pose], r_min)
+
+
+def test_void_disc_is_open():
+    # a one-particle belief inside the disc has void probability 0, one outside has 1
     r_min = 50.0
-    pose = make_uav(49.0, 0.0)
-    assert planner.in_void(ObjectState(np.array([0.0, 0.0, 1.0])), pose, r_min)
+    at_origin = point_mass(0.0, 0.0, n=1)
+    assert void_probability(at_origin, make_uav(49.0, 0.0), r_min) == 0.0
     # exactly r_min: strict inequality, not in the void
-    pose = make_uav(50.0, 0.0)
-    assert not planner.in_void(ObjectState(np.array([0.0, 0.0, 1.0])), pose, r_min)
+    assert void_probability(at_origin, make_uav(50.0, 0.0), r_min) == 1.0
     # directly under the observer
-    pose = make_uav(0.0, 0.0)
-    assert planner.in_void(ObjectState(np.array([0.0, 0.0, 1.0])), pose, 1e-6)
+    assert void_probability(at_origin, make_uav(0.0, 0.0), 1e-6) == 0.0
 
 
 def test_void_probability_trivials():
     pose = make_uav(0.0, 0.0)
     far = point_mass(200.0, 0.0)
-    assert planner.void_probability(far, pose, 50.0) == 1.0
+    assert void_probability(far, pose, 50.0) == 1.0
     near = point_mass(10.0, 0.0)
-    assert planner.void_probability(near, pose, 50.0) == 0.0
+    assert void_probability(near, pose, 50.0) == 0.0
     # 0.3 of the mass inside -> 0.7
     pts = np.array([[10.0, 0.0], [200.0, 0.0]])
     b = tracker.ObjectBelief(tag_id=1, particles=pts, weights=np.array([0.3, 0.7]), height=1.0,
                              wavelength=RF.wavelength)
-    assert planner.void_probability(b, pose, 50.0) == pytest.approx(0.7, abs=1e-15)
+    assert void_probability(b, pose, 50.0) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_void_probability_permutation_invariant():
@@ -59,21 +63,24 @@ def test_void_probability_permutation_invariant():
     pts = np.column_stack([rng.uniform(-100, 100, 16), rng.uniform(-100, 100, 16)])
     w = dyadic_weights(rng, 16)
     pose = make_uav(5.0, -3.0)
-    base = planner.void_probability(
+    base = void_probability(
         tracker.ObjectBelief(1, pts, w, 1.0, RF.wavelength), pose, 60.0)
     for _ in range(10):
         perm = rng.permutation(16)
-        shuffled = planner.void_probability(
+        shuffled = void_probability(
             tracker.ObjectBelief(1, pts[perm], w[perm], 1.0, RF.wavelength), pose, 60.0)
         assert shuffled == base
 
 
 def test_trajectory_void_singleton_reduction():
+    # one belief and one pose: the trajectory value is that pose's void probability
+    # (dyadic weights, so the brute-force sum is exact)
     rng = np.random.default_rng(1)
-    b = blob(rng, 80.0, 20.0, 30.0)
+    b = dyadic_blob(rng, 80.0, 20.0, 30.0)
     pose = make_uav(10.0, 10.0)
-    single = planner.void_probability(b, pose, 50.0)
-    assert planner.trajectory_void_probability([b], [pose], 50.0) == single
+    want = void_probability_brute(b.particles, b.weights, pose.xy, 50.0)
+    assert 0.0 < want < 1.0
+    assert planner.trajectory_void_probability([b], [pose], 50.0) == want
 
 
 def dyadic_blob(rng, x, y, sigma, tag_id=1, n=200):
@@ -263,7 +270,7 @@ def test_pseudo_update_reward_uses_the_belief_carrier():
     b = replace(blob(np.random.default_rng(5), 300.0, 200.0, 30.0), wavelength=lam)
     terminal = make_uav(120.0, 80.0, heading=0.6)
     own = replace(RF, wavelength=lam)
-    est = tracker.estimate(b).position
+    est = tracker.estimate(b)
     z_star = float(rf.received_power_array(est[:2], terminal, own, est[2]))
     log_g = rf.log_likelihood_array(z_star, b.particles, terminal, own, b.height)
     renyi, shannon = planner.PlannerKind(kind="renyi"), planner.PlannerKind(kind="shannon")

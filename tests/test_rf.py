@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from tagtrack import rf
-from tagtrack.world import ObjectState, UavState
+from tagtrack.world import UavState
 
 from oracles import two_ray_power_oracle
 
@@ -20,20 +20,37 @@ def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
     return UavState(position=np.array([x, y, z]), heading=heading)
 
 
-def tag(x, y, z=1.0, tag_id=1):
-    return ObjectState(position=np.array([x, y, z]), tag_id=tag_id)
+def tag(x, y, z=1.0):
+    """A tag position (x, y, z)."""
+    return np.array([x, y, z], dtype=float)
+
+
+def power(pos, uav, cfg):
+    """Mean received power (dBm) from one tag at pos = (x, y, z)."""
+    return float(rf.received_power_array(pos[:2], uav, cfg, pos[2]))
+
+
+def loglik(rssi, pos, uav, cfg):
+    """Log-density of one measurement for one candidate tag at pos = (x, y, z)."""
+    return float(rf.log_likelihood_array(rssi, pos[:2], uav, cfg, pos[2]))
+
+
+def measure(pos, uav, cfg, rng, time_step=0):
+    """One measurement of one tag at pos = (x, y, z) on the configured carrier."""
+    z, = rf.sample_measurement(pos[None, :2], pos[2], uav, cfg, [rng], [cfg.wavelength], time_step)
+    return z
 
 
 def test_free_space_unit_distance():
     uav = make_uav(z=1.0)
     obj = tag(1.0, 0.0, 1.0)
-    assert rf.received_power(obj, uav, FREE_SPACE) == pytest.approx(-40.0, abs=1e-12)
+    assert power(obj, uav, FREE_SPACE) == pytest.approx(-40.0, abs=1e-12)
 
 
 def test_free_space_ten_meters():
     uav = make_uav(z=1.0)
     obj = tag(10.0, 0.0, 1.0)
-    assert rf.received_power(obj, uav, FREE_SPACE) == pytest.approx(-60.0, abs=1e-12)
+    assert power(obj, uav, FREE_SPACE) == pytest.approx(-60.0, abs=1e-12)
 
 
 def test_two_ray_matches_complex_oracle_reference_geometry():
@@ -41,8 +58,8 @@ def test_two_ray_matches_complex_oracle_reference_geometry():
                                reflection_gamma=-0.8)
     uav = make_uav(0.0, 0.0, 30.0, heading=0.3)
     obj = tag(100.0, 0.0, 1.0)
-    got = rf.received_power(obj, uav, cfg)
-    want = two_ray_power_oracle(obj.position, uav.position, uav.heading, cfg)
+    got = power(obj, uav, cfg)
+    want = two_ray_power_oracle(obj, uav.position, uav.heading, cfg)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -62,8 +79,8 @@ def test_two_ray_matches_complex_oracle_random_geometries():
                        float(rng.uniform(10, 80)), heading=float(rng.uniform(0, 2 * math.pi)))
         obj = tag(float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)),
                   float(rng.uniform(0.5, 2.0)))
-        got = rf.received_power(obj, uav, cfg)
-        want = two_ray_power_oracle(obj.position, uav.position, uav.heading, cfg)
+        got = power(obj, uav, cfg)
+        want = two_ray_power_oracle(obj, uav.position, uav.heading, cfg)
         assert got == pytest.approx(want, abs=1e-9)
 
     # whole batches in one kernel call, element by element against the oracle:
@@ -133,22 +150,23 @@ def test_batched_measurement_equals_one_target_calls(mode, table):
     rng = np.random.default_rng(42)
     cfg = rf.PropagationConfig(reflection_mode=mode, antenna_table=table)
     uav = make_uav(5.0, 7.0, 30.0, heading=0.4)
-    targets = [tag(float(x), float(y), float(z), tag_id=j + 1) for j, (x, y, z) in
-               enumerate(zip(rng.uniform(-300, 300, 7), rng.uniform(-300, 300, 7),
-                             rng.uniform(0.0, 3.0, 7)))]
-    targets[0] = tag(5.0, 7.0, 1.0, tag_id=1)  # straight below the observer
-    wavelengths = rng.uniform(0.5, 3.0, len(targets))
-    batched_rngs = [np.random.default_rng(100 + j) for j in range(len(targets))]
-    single_rngs = [np.random.default_rng(100 + j) for j in range(len(targets))]
-    batched = rf.sample_measurement(targets, uav, cfg, batched_rngs, wavelengths, time_step=4)
-    for t, lam, z, r_single, r_batched in zip(targets, wavelengths, batched, single_rngs,
-                                              batched_rngs):
-        single, = rf.sample_measurement([t], uav, cfg, [r_single], [lam], time_step=4)
-        assert (z.tag_id, z.time_step) == (t.tag_id, 4)
-        assert z.rssi == single.rssi
-        assert r_batched.bit_generator.state == r_single.bit_generator.state
-    with pytest.raises(ValueError):  # one generator per target
-        rf.sample_measurement(targets, uav, cfg, batched_rngs[:-1], wavelengths)
+    xy = np.column_stack([rng.uniform(-300, 300, 7), rng.uniform(-300, 300, 7)])
+    xy[0] = uav.position[:2]  # straight below the observer
+    for height in (1.0, float(rng.uniform(0.0, 3.0))):
+        wavelengths = rng.uniform(0.5, 3.0, len(xy))
+        batched_rngs = [np.random.default_rng(100 + j) for j in range(len(xy))]
+        single_rngs = [np.random.default_rng(100 + j) for j in range(len(xy))]
+        batched = rf.sample_measurement(xy, height, uav, cfg, batched_rngs, wavelengths,
+                                        time_step=4)
+        for j, (lam, z, r_single, r_batched) in enumerate(zip(wavelengths, batched, single_rngs,
+                                                              batched_rngs)):
+            single, = rf.sample_measurement(xy[j:j + 1], height, uav, cfg, [r_single], [lam],
+                                            time_step=4)
+            assert (z.tag_id, z.time_step) == (j + 1, 4)  # target j is tag j + 1
+            assert z.rssi == single.rssi
+            assert r_batched.bit_generator.state == r_single.bit_generator.state
+        with pytest.raises(ValueError):  # one generator per target
+            rf.sample_measurement(xy, height, uav, cfg, batched_rngs[:-1], wavelengths)
 
 
 def test_multipath_term_bounds():
@@ -162,15 +180,15 @@ def test_multipath_term_bounds():
     uav = make_uav(0.0, 0.0, 30.0)
     for _ in range(300):
         obj = tag(float(rng.uniform(1, 800)), float(rng.uniform(-800, 800)))
-        d = float(np.linalg.norm(obj.position - uav.position))
-        multipath = rf.received_power(obj, uav, cfg) + 10.0 * n * math.log10(d)
+        d = float(np.linalg.norm(obj - uav.position))
+        multipath = power(obj, uav, cfg) + 10.0 * n * math.log10(d)
         assert lo - 1e-9 <= multipath <= hi + 1e-9
 
 
 def test_free_space_monotonic_in_distance():
     uav = make_uav(z=1.0)
     distances = np.linspace(1.0, 1000.0, 200)
-    powers = [rf.received_power(tag(d, 0.0, 1.0), uav, FREE_SPACE) for d in distances]
+    powers = [power(tag(d, 0.0, 1.0), uav, FREE_SPACE) for d in distances]
     assert all(a > b for a, b in zip(powers, powers[1:]))
 
 
@@ -187,23 +205,45 @@ def test_antenna_pattern_periodicity():
     assert np.allclose(a, b, atol=1e-12)
 
 
+def reflection_gamma(cfg, psi):
+    """The ground reflection coefficient the power model applies at incidence angle psi,
+    read back from received_power_array.
+
+    A flat antenna, p0 = 0 and a tag at 1 m under an observer at 30 m, placed so that
+    the reflected ray arrives at psi. On the carrier equal to the path difference the
+    two rays are in phase and the power is 5n*log10((1 + G)^2 / d^2); on twice that
+    carrier they are in antiphase, (1 - G)^2. Their difference is 4G.
+    """
+    cfg = replace(cfg, p0_dbm=0.0, antenna_table=((0.0, 0.0),))
+    uav = make_uav(0.0, 0.0, 30.0)
+    rh = 31.0 / math.tan(psi)  # sin(psi) = (z_tag + z_obs) / d_ref
+    d, d_ref = math.hypot(rh, 29.0), math.hypot(rh, 31.0)
+    sq = [10.0 ** ((rf.received_power_array(np.array([rh, 0.0]), uav, cfg, 1.0, k * (d_ref - d))
+                    + 10.0 * cfg.path_loss_n * math.log10(d)) / (5.0 * cfg.path_loss_n))
+          for k in (1.0, 2.0)]
+    return (sq[0] - sq[1]) / 4.0
+
+
 def test_fresnel_reflection_limits():
     cfg = rf.PropagationConfig(reflection_mode="fresnel", rel_permittivity=15.0)
     psi = np.linspace(1e-3, math.pi / 2, 100)
-    gamma = rf.reflection_coefficient(cfg, psi)
+    gamma = np.array([reflection_gamma(cfg, p) for p in psi])
     assert np.all(np.abs(gamma) <= 1.0)
     # normal incidence: (1 - sqrt(eps)) / (1 + sqrt(eps))
     want = (1.0 - math.sqrt(15.0)) / (1.0 + math.sqrt(15.0))
-    assert rf.reflection_coefficient(cfg, math.pi / 2) == pytest.approx(want, abs=1e-12)
+    assert reflection_gamma(cfg, math.pi / 2) == pytest.approx(want, abs=1e-12)
+    # the constant mode applies its configured coefficient at every angle
+    flat = rf.PropagationConfig(reflection_gamma=-0.8)
+    for p in (1e-3, 0.7, math.pi / 2):
+        assert reflection_gamma(flat, p) == pytest.approx(-0.8, abs=1e-12)
 
 
 def test_sample_measurement_noiseless_limit():
     cfg = rf.PropagationConfig(noise_var=1e-300)
     uav = make_uav()
     obj = tag(100.0, 50.0)
-    z, = rf.sample_measurement([obj], uav, cfg, [np.random.default_rng(0)], [cfg.wavelength],
-                               time_step=3)
-    assert z.rssi == rf.received_power(obj, uav, cfg)
+    z = measure(obj, uav, cfg, np.random.default_rng(0), time_step=3)
+    assert z.rssi == power(obj, uav, cfg)
     assert z.tag_id == 1 and z.time_step == 3
 
 
@@ -211,8 +251,8 @@ def test_sample_measurement_deterministic():
     cfg = rf.PropagationConfig()
     uav = make_uav()
     obj = tag(100.0, 50.0)
-    a, = rf.sample_measurement([obj], uav, cfg, [np.random.default_rng(9)], [cfg.wavelength])
-    b, = rf.sample_measurement([obj], uav, cfg, [np.random.default_rng(9)], [cfg.wavelength])
+    a = measure(obj, uav, cfg, np.random.default_rng(9))
+    b = measure(obj, uav, cfg, np.random.default_rng(9))
     assert a.rssi == b.rssi
 
 
@@ -221,9 +261,8 @@ def test_measurement_noise_variance():
     uav = make_uav()
     obj = tag(100.0, 50.0)
     rng = np.random.default_rng(4)
-    h = rf.received_power(obj, uav, cfg)
-    draws = np.array([rf.sample_measurement([obj], uav, cfg, [rng], [cfg.wavelength])[0].rssi
-                      for _ in range(100_000)])
+    h = power(obj, uav, cfg)
+    draws = np.array([measure(obj, uav, cfg, rng).rssi for _ in range(100_000)])
     assert abs(float(np.var(draws - h)) - 25.0) < 0.75  # within 3%
 
 
@@ -231,9 +270,8 @@ def test_log_likelihood_peak_value():
     cfg = rf.PropagationConfig(noise_var=25.0)
     uav = make_uav()
     p = tag(100.0, 50.0)
-    h = rf.received_power(p, uav, cfg)
-    z = rf.Measurement(tag_id=1, rssi=h)
-    assert rf.log_likelihood(z, p, uav, cfg) == pytest.approx(
+    h = power(p, uav, cfg)
+    assert loglik(h, p, uav, cfg) == pytest.approx(
         -0.5 * math.log(2.0 * math.pi * 25.0), abs=1e-12)
 
 
@@ -241,10 +279,10 @@ def test_log_likelihood_symmetry():
     cfg = rf.PropagationConfig(noise_var=25.0)
     uav = make_uav()
     p = tag(100.0, 50.0)
-    h = rf.received_power(p, uav, cfg)
+    h = power(p, uav, cfg)
     for delta in (0.5, 2.0, 7.5):
-        lo = rf.log_likelihood(rf.Measurement(1, h - delta), p, uav, cfg)
-        hi = rf.log_likelihood(rf.Measurement(1, h + delta), p, uav, cfg)
+        lo = loglik(h - delta, p, uav, cfg)
+        hi = loglik(h + delta, p, uav, cfg)
         assert lo == pytest.approx(hi, abs=1e-12)
 
 
@@ -255,9 +293,9 @@ def test_log_likelihood_matches_scipy_oracle():
     for _ in range(200):
         p = tag(float(rng.uniform(-300, 300)), float(rng.uniform(-300, 300)))
         z = float(rng.uniform(-140, -40))
-        h = rf.received_power(p, uav, cfg)
+        h = power(p, uav, cfg)
         want = norm.logpdf(z, loc=h, scale=4.0)
-        got = rf.log_likelihood(rf.Measurement(1, z), p, uav, cfg)
+        got = loglik(z, p, uav, cfg)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -265,9 +303,9 @@ def test_likelihood_normalizes_over_measurements():
     cfg = rf.PropagationConfig(noise_var=25.0)
     uav = make_uav()
     p = tag(120.0, -60.0)
-    h = rf.received_power(p, uav, cfg)
+    h = power(p, uav, cfg)
     grid = np.linspace(h - 50.0, h + 50.0, 20001)  # +-10 sigma
-    ll = np.array([rf.log_likelihood(rf.Measurement(1, z), p, uav, cfg) for z in grid])
+    ll = np.array([loglik(z, p, uav, cfg) for z in grid])
     integral = float(np.trapezoid(np.exp(ll), grid))
     assert integral == pytest.approx(1.0, abs=1e-6)
 
@@ -275,10 +313,10 @@ def test_likelihood_normalizes_over_measurements():
 def test_coincident_positions():
     cfg = rf.PropagationConfig()
     uav = make_uav(10.0, 10.0, 30.0)
-    p = ObjectState(position=uav.position.copy(), tag_id=1)
+    p = uav.position.copy()
     with pytest.raises(ValueError):
-        rf.received_power(p, uav, cfg)
-    ll = rf.log_likelihood(rf.Measurement(1, -80.0), p, uav, cfg)
+        power(p, uav, cfg)
+    ll = loglik(-80.0, p, uav, cfg)
     assert ll == -math.inf
 
 
@@ -288,7 +326,7 @@ def test_likelihood_call_counter():
     p = tag(50.0, 0.0)
     rf.reset_likelihood_calls()
     assert rf.likelihood_call_count() == 0
-    rf.log_likelihood(rf.Measurement(1, -90.0), p, uav, cfg)
+    loglik(-90.0, p, uav, cfg)
     rf.log_likelihood_array(-90.0, np.array([[50.0, 0.0], [60.0, 0.0]]), uav, cfg, 1.0)
     assert rf.likelihood_call_count() == 2
     rf.reset_likelihood_calls()

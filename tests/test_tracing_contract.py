@@ -1,6 +1,7 @@
 """The library surface the benchmark's traced run reads (`perfbench/spans.py` and
 `perfbench/core.py`): every wrapped function exists, the rollout cache and the
-likelihood counter are there, and the per-layer flags come back as bools."""
+likelihood counter are there, the per-layer flags come back as bools, and the
+target walk and the measurements take one call each per step."""
 
 import importlib
 from pathlib import Path
@@ -32,9 +33,14 @@ def test_traced_run_finds_every_layer(tmp_path, perfbench):
         assert recorder.missing == []
         assert spans.rollout_cache_info() is not None
         assert core.LavapilotProbe().available
-        harness.run_mission(cfg)
+        record = harness.run_mission(cfg)
     finally:
         recorder.uninstall()
+    # all tags of a step move in one call and are measured in one call, so the
+    # per-step times of these layers keep their meaning
+    names = [s[0] for s in recorder.spans]
+    for name in ("world.target_step", "rf.measure"):
+        assert names.count(name) == record.summary.n_steps > 0, name
     flags = {name: [s[4] for s in recorder.spans if s[0] == name]
              for name in ("tracker.update", "tracker.resample", "planner.gate")}
     for name, values in flags.items():

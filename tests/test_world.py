@@ -5,7 +5,6 @@ import pytest
 
 from tagtrack.world import (
     Area,
-    ObjectState,
     TargetDynamics,
     UavKinematics,
     UavState,
@@ -44,41 +43,50 @@ def test_rollout_constant_velocity_with_instant_accel():
         assert p.heading == 0.0
 
 
+# step periods: the default, and two that are not a whole number of 1 ms Euler steps
+STEP_PERIODS = (1.0, 1e-4, 1.5e-3)
+
+
 def test_rollout_matches_fine_step_oracle():
     kin = UavKinematics(v_max=5.0, accel=2.0, altitude=30.0)
     uav = make_uav()
-    poses = uav_rollout(uav, (20.0, 0.0), kin, 11, 1.0)
-    ref = rollout_positions_oracle((0.0, 0.0), 0.0, (20.0, 0.0),
-                                   v_max=5.0, accel=2.0, dt=1e-4, horizon=11, t0=1.0)
-    for p, r in zip(poses, ref):
-        assert math.hypot(p.position[0] - r[0], p.position[1] - r[1]) < 0.05
-
-
-def test_rollout_matches_oracle_random_cases():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        start = rng.uniform(-50, 50, size=2)
-        wp = rng.uniform(-80, 80, size=2)
-        v0 = float(rng.uniform(0, 5))
-        uav = UavState(position=np.array([start[0], start[1], 30.0]), heading=0.0, speed=v0)
-        poses = uav_rollout(uav, wp, KIN, 8, 1.0)
-        ref = rollout_positions_oracle(start, v0, wp, v_max=KIN.v_max, accel=KIN.accel,
-                                       dt=1e-4, horizon=8, t0=1.0)
+    for t0 in STEP_PERIODS:
+        poses = uav_rollout(uav, (20.0, 0.0), kin, 11, t0)
+        ref = rollout_positions_oracle((0.0, 0.0), 0.0, (20.0, 0.0),
+                                       v_max=5.0, accel=2.0, dt=1e-4, horizon=11, t0=t0)
         for p, r in zip(poses, ref):
             assert math.hypot(p.position[0] - r[0], p.position[1] - r[1]) < 0.05
 
 
+def test_rollout_matches_oracle_random_cases():
+    for t0 in STEP_PERIODS:
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            start = rng.uniform(-50, 50, size=2)
+            wp = rng.uniform(-80, 80, size=2)
+            v0 = float(rng.uniform(0, 5))
+            uav = UavState(position=np.array([start[0], start[1], 30.0]), heading=0.0, speed=v0)
+            poses = uav_rollout(uav, wp, KIN, 8, t0)
+            ref = rollout_positions_oracle(start, v0, wp, v_max=KIN.v_max, accel=KIN.accel,
+                                           dt=1e-4, horizon=8, t0=t0)
+            for p, r in zip(poses, ref):
+                assert math.hypot(p.position[0] - r[0], p.position[1] - r[1]) < 0.05
+
+
 def test_rollout_path_length_bound():
-    rng = np.random.default_rng(11)
-    horizon, t0 = 11, 1.0
-    bound = KIN.v_max * horizon * t0 + 0.5 * KIN.v_max ** 2 / KIN.accel
-    for _ in range(20):
-        wp = rng.uniform(-400, 400, size=2)
-        uav = make_uav(speed=float(rng.uniform(0, KIN.v_max)))
-        poses = uav_rollout(uav, wp, KIN, horizon, t0)
-        pts = np.vstack([uav.position[:2]] + [p.position[:2] for p in poses])
-        length = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
-        assert length <= bound + 1e-9
+    horizon = 11
+    for t0 in STEP_PERIODS:
+        rng = np.random.default_rng(11)
+        bound = KIN.v_max * horizon * t0 + 0.5 * KIN.v_max ** 2 / KIN.accel
+        for _ in range(20):
+            wp = rng.uniform(-400, 400, size=2)
+            uav = make_uav(speed=float(rng.uniform(0, KIN.v_max)))
+            poses = uav_rollout(uav, wp, KIN, horizon, t0)
+            pts = np.vstack([uav.position[:2]] + [p.position[:2] for p in poses])
+            length = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
+            assert length <= bound + 1e-9
+            # the speed never exceeds v_max, so the path is no longer than v_max * time
+            assert length <= KIN.v_max * horizon * t0 * (1.0 + 1e-12)
 
 
 def test_rollout_never_overshoots_waypoint():
@@ -118,17 +126,34 @@ def test_rollout_clamps_waypoint_to_area():
 
 def test_target_step_zero_noise_identity():
     dyn = TargetDynamics(q_diag=np.zeros(3))
-    state = ObjectState(np.array([10.0, 20.0, 1.0]), tag_id=1)
-    out = target_step(state, dyn, np.random.default_rng(0))
-    assert np.array_equal(out.position, state.position)
+    xy = np.array([[10.0, 20.0], [-5.0, 7.5]])
+    out = target_step(xy, dyn, [np.random.default_rng(0), np.random.default_rng(1)])
+    assert np.array_equal(out, xy)
+    assert out is not xy
 
 
 def test_target_step_deterministic():
     dyn = TargetDynamics(q_diag=np.array([1.0, 1.0, 0.0]))
-    state = ObjectState(np.array([10.0, 20.0, 1.0]), tag_id=1)
-    a = target_step(state, dyn, np.random.default_rng(42))
-    b = target_step(state, dyn, np.random.default_rng(42))
-    assert np.array_equal(a.position, b.position)
+    xy = np.array([[10.0, 20.0]])
+    a = target_step(xy, dyn, [np.random.default_rng(42)])
+    b = target_step(xy, dyn, [np.random.default_rng(42)])
+    assert np.array_equal(a, b)
+
+
+def test_target_step_draws_each_target_from_its_own_generator():
+    # all targets in one call equal one call per target: target j draws its (1, 3)
+    # block from rngs[j], in target order, and keeps the x and y columns
+    dyn = TargetDynamics(q_diag=np.array([4.0, 9.0, 0.0]))
+    area = Area(0.0, 100.0, 0.0, 100.0)
+    xy = np.array([[10.0, 20.0], [99.0, 1.0], [50.0, 50.0]])
+    batched = [np.random.default_rng(7 + j) for j in range(3)]
+    single = [np.random.default_rng(7 + j) for j in range(3)]
+    out = target_step(xy, dyn, batched, area)
+    assert out.shape == (3, 2)
+    for j in range(3):
+        want = area.clamp(xy[j] + random_walk_displacements(1, dyn, single[j])[0, :2])
+        assert np.array_equal(out[j], want)
+        assert batched[j].bit_generator.state == single[j].bit_generator.state
 
 
 def test_target_step_statistics():
@@ -142,22 +167,25 @@ def test_target_step_statistics():
 
 
 def test_target_z_constant_over_many_steps():
+    # targets are held as horizontal positions only: a step keeps that shape, and the
+    # z column of every draw, which the walk drops, is zero
     dyn = TargetDynamics(q_diag=np.array([4.0, 4.0, 0.0]))
     rng = np.random.default_rng(1)
-    state = ObjectState(np.array([50.0, 50.0, 1.0]), tag_id=2)
+    xy = np.array([[50.0, 50.0]])
     for _ in range(200):
-        state = target_step(state, dyn, rng)
-        assert state.position[2] == 1.0
+        xy = target_step(xy, dyn, [rng])
+        assert xy.shape == (1, 2)
+    assert np.all(random_walk_displacements(200, dyn, rng)[:, 2] == 0.0)
 
 
 def test_target_clamped_to_area():
     area = Area(0.0, 10.0, 0.0, 10.0)
     dyn = TargetDynamics(q_diag=np.array([25.0, 25.0, 0.0]))
     rng = np.random.default_rng(5)
-    state = ObjectState(np.array([9.5, 9.5, 1.0]), tag_id=1)
+    xy = np.array([[9.5, 9.5]])
     for _ in range(100):
-        state = target_step(state, dyn, rng, area=area)
-        assert area.contains(state.position[:2])
+        xy = target_step(xy, dyn, [rng], area=area)
+        assert area.contains(xy[0])
 
 
 def test_heading_normalization():
