@@ -12,7 +12,7 @@ from .harness import (
     run_montecarlo,
 )
 from .planner import CandidateAction, PlannerKind, VoidConfig
-from .rf import Measurement, PropagationConfig
+from .rf import PropagationConfig
 from .tracker import ObjectBelief, TrackerConfig
 from .world import Area, TargetDynamics, UavKinematics, UavState
 
@@ -23,7 +23,6 @@ __all__ = [
     "CandidateAction",
     "ConfigError",
     "McSummary",
-    "Measurement",
     "MissionRecord",
     "ObjectBelief",
     "PlannerKind",

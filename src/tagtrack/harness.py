@@ -69,16 +69,13 @@ class ScenarioConfig:
             raise ConfigError("num_tags must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for key, value in (("tag_height_m", self.tag_height),
-                           ("max_flight_time_s", self.max_flight_time),
-                           ("uav_start.heading_rad", self.uav_start_heading),
-                           ("belief_init.sigma_m", self.belief_init_sigma)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+        for name in ("tag_height", "max_flight_time", "uav_start_heading", "belief_init_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{_KEYS[name]} must be finite, got {getattr(self, name)}")
         if self.tag_height < 0.0:  # the ground plane the two-ray model reflects in
-            raise ConfigError(f"tag_height_m must be non-negative, got {self.tag_height}")
+            raise ConfigError(f"{_KEYS['tag_height']} must be non-negative, got {self.tag_height}")
         if self.max_flight_time < 0.0:
-            raise ConfigError("max_flight_time must be non-negative")
+            raise ConfigError(f"{_KEYS['max_flight_time']} must be non-negative")
         if self.tag_positions is not None:
             if len(self.tag_positions) != self.num_tags:
                 raise ConfigError("tag_positions length must equal num_tags")
@@ -94,12 +91,12 @@ class ScenarioConfig:
         if not self.area.contains(self.uav_start_xy):
             raise ConfigError("uav_start lies outside the mission area")
         if self.belief_init_mode not in ("uniform", "at_truth"):
-            raise ConfigError(f"unknown belief_init_mode: {self.belief_init_mode}")
+            raise ConfigError(f"unknown {_KEYS['belief_init_mode']}: {self.belief_init_mode}")
         if self.belief_init_sigma < 0.0:
-            raise ConfigError("belief_init_sigma must be non-negative")
+            raise ConfigError(f"{_KEYS['belief_init_sigma']} must be non-negative")
         if self.kinematics.altitude <= self.tag_height:
-            raise ConfigError(f"kinematics.altitude_m ({self.kinematics.altitude}) must exceed "
-                              f"tag_height_m ({self.tag_height})")
+            raise ConfigError(f"{_KEYS['kinematics.altitude']} ({self.kinematics.altitude}) must "
+                              f"exceed {_KEYS['tag_height']} ({self.tag_height})")
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **_write(self, _SCHEMA)}
@@ -109,15 +106,15 @@ class ScenarioConfig:
         """Parse the JSON config: absent keys keep the dataclass defaults, and an unknown
         key or a value not of its attribute's type is a ConfigError naming the key."""
         base = cls(filter_dynamics=TargetDynamics())  # the defaults, optional section included
-        fields, keys = {}, {}
-        _read(d, _SCHEMA, "", base, fields, keys)
+        fields = {}
+        _read(d, _SCHEMA, "", base, fields)
         start = fields.pop("uav_start_xy", {})
         for name, value in fields.items():
             if isinstance(value, dict):  # a sub-config: override its defaults
                 try:
                     fields[name] = replace(getattr(base, name), **value)
                 except ValueError as exc:  # a dataclass range check
-                    key = _rejected_key(getattr(base, name), name, value, keys)
+                    key = _rejected_key(getattr(base, name), name, value)
                     raise ConfigError(f"invalid configuration: {key}: {exc}") from exc
         cfg = cls(**fields)
         cfg.uav_start_xy = tuple(start.get(str(i), v) for i, v in enumerate(cfg.uav_start_xy))
@@ -164,6 +161,17 @@ _LISTS = {"tag_positions": _PAIRS, "tag_frequencies_mhz": _NUMBERS, "rf.antenna_
 _NULLABLE_SECTIONS = ("filter_dynamics",)
 
 
+def _invert(schema: dict, prefix: str = ""):
+    for key, path in schema.items():
+        if isinstance(path, dict):
+            yield from _invert(path, prefix + key + ".")
+        else:
+            yield path, prefix + key
+
+
+_KEYS = dict(_invert(_SCHEMA))  # attribute path -> the dotted JSON key that sets it
+
+
 def _get(cfg: ScenarioConfig, path: str):
     obj = cfg
     for part in path.split("."):
@@ -185,10 +193,9 @@ def _write(cfg: ScenarioConfig, schema: dict) -> dict:
     return out
 
 
-def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict, keys: dict) -> None:
+def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict) -> None:
     """Check the JSON object `d` against `schema`, collecting each attribute's value
-    in `fields`, and a sub-config field's in `fields[sub-config]`; `keys` maps each
-    attribute path read to the dotted JSON key that set it."""
+    in `fields`, and a sub-config field's in `fields[sub-config]`."""
     if not isinstance(d, dict):
         raise ConfigError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {d!r}")
     for key, value in d.items():
@@ -203,23 +210,22 @@ def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict, keys
         elif isinstance(path, dict):
             if key in _NULLABLE_SECTIONS:
                 fields.setdefault(key, {})  # present, so built from the defaults
-            _read(value, path, dotted + ".", base, fields, keys)
+            _read(value, path, dotted + ".", base, fields)
         else:
             value = _checked(dotted, value, _get(base, path), _LISTS.get(path))
             name, _, attr = path.partition(".")
             target = fields.setdefault(name, {}) if attr else fields
             target[attr or name] = value
-            keys[path] = dotted
 
 
-def _rejected_key(default, name: str, value: dict, keys: dict) -> str:
+def _rejected_key(default, name: str, value: dict) -> str:
     """The JSON key of the first field in `value` that sub-config `name` rejects on its
     own, or the section name when only a combination of fields is rejected."""
     for attr, v in value.items():
         try:
             replace(default, **{attr: v})
         except ValueError:
-            return keys[f"{name}.{attr}"]
+            return _KEYS[f"{name}.{attr}"]
     return name
 
 
@@ -378,9 +384,9 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     truths_initial = truths()
 
     if cfg.tag_frequencies_mhz is not None:
-        wavelengths = [rf_mod.wavelength_from_mhz(f) for f in cfg.tag_frequencies_mhz]
+        wavelengths = np.array([rf_mod.wavelength_from_mhz(f) for f in cfg.tag_frequencies_mhz])
     else:
-        wavelengths = [cfg.rf.wavelength] * n_tags
+        wavelengths = np.full(n_tags, cfg.rf.wavelength)
 
     filter_dyn = cfg.filter_dynamics if cfg.filter_dynamics is not None else cfg.target_dynamics
     # "without void" runs keep the same code path with a vanishing safe radius
@@ -413,11 +419,11 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         beliefs = []
         for j in range(n_tags):
             if cfg.belief_init_mode == "at_truth":
-                b = tracker_mod.init_belief_at(j + 1, (*tag_xy[j], height), cfg.belief_init_sigma,
+                b = tracker_mod.init_belief_at((*tag_xy[j], height), cfg.belief_init_sigma,
                                                wavelengths[j], cfg.tracker, filt_rngs[j], area)
             else:
-                b = tracker_mod.init_belief(j + 1, area, cfg.tag_height, wavelengths[j],
-                                            cfg.tracker, filt_rngs[j])
+                b = tracker_mod.init_belief(area, cfg.tag_height, wavelengths[j], cfg.tracker,
+                                            filt_rngs[j])
             beliefs.append(b)
         noise = [draw_noise(j) for j in range(n_tags)]
 
@@ -426,8 +432,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
             if pending:
                 uav = pending.pop(0)
 
-            zs = rf_mod.sample_measurement(tag_xy, height, uav, cfg.rf, meas_rngs, wavelengths,
-                                           time_step=k)
+            zs = rf_mod.sample_measurement(tag_xy, height, uav, cfg.rf, meas_rngs, wavelengths)
             for j in range(n_tags):
                 b = tracker_mod.predict(beliefs[j], filter_dyn, noise[j].result(), area)
                 b = tracker_mod.update(b, zs[j], uav, cfg.rf)
@@ -450,27 +455,26 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                 action = planner_mod.select_action(beliefs, uav, kin, planner_void,
                                                    cfg.planner, cfg.rf, area)
                 plan_time = time.perf_counter() - t_start
-                if action is not None:
-                    pending = list(action.rollout)
-                    void_prob = action.void_prob
-                    bound_ok = None
-                    if cfg.planner.void_enabled:
-                        bound_ok = planner_mod.verify_void_bound(action, cfg.void, beliefs)
-                        if not bound_ok:  # a fallback is exempt from the gate, not from the record
-                            kind = action.label if action.fallback else "gated"
-                            violations.append({"k": k, "kind": f"{kind}_below_bound",
-                                               "void_prob": action.void_prob})
-                    decisions.append(DecisionRecord(k=k, label=action.label,
-                                                    fallback=action.fallback,
-                                                    void_prob=action.void_prob,
-                                                    planning_time=plan_time, bound_ok=bound_ok))
+                pending = list(action.rollout)
+                void_prob = action.void_prob
+                bound_ok = None
+                if cfg.planner.void_enabled:
+                    bound_ok = planner_mod.verify_void_bound(action, cfg.void, beliefs)
+                    if not bound_ok:  # a fallback is exempt from the gate, not from the record
+                        kind = action.label if action.fallback else "gated"
+                        violations.append({"k": k, "kind": f"{kind}_below_bound",
+                                           "void_prob": action.void_prob})
+                decisions.append(DecisionRecord(k=k, label=action.label,
+                                                fallback=action.fallback,
+                                                void_prob=action.void_prob,
+                                                planning_time=plan_time, bound_ok=bound_ok))
 
             ests = [tracker_mod.estimate(b) for b in beliefs]
             steps.append(MissionStep(
                 k=k,
                 uav_x=float(uav.position[0]), uav_y=float(uav.position[1]),
                 uav_z=float(uav.position[2]), uav_heading=float(uav.heading),
-                rssi=[z.rssi for z in zs],
+                rssi=zs.tolist(),
                 est=[tuple(map(float, e)) for e in ests],
                 sigma=[tracker_mod.uncertainty(b) for b in beliefs],
                 localized=[b.localized for b in beliefs],
@@ -680,8 +684,7 @@ def _bench_snapshot(particles: int, tags: int, seed: int, wavelength: float):
         sigma = 20.0 + 4.0 * abs(j - mid)  # the middle object has the lowest spread
         center = np.array([x, 700.0, 1.0])
         cfg_t = tracker_mod.TrackerConfig(num_particles=particles, sigma_min=35.0)
-        beliefs.append(tracker_mod.init_belief_at(j + 1, center, sigma, wavelength, cfg_t, rng,
-                                                  area))
+        beliefs.append(tracker_mod.init_belief_at(center, sigma, wavelength, cfg_t, rng, area))
     uav = UavState(position=np.array([xs[mid], 150.0, 30.0]), heading=math.pi / 2, speed=0.0)
     return beliefs, uav, area
 

@@ -171,12 +171,12 @@ def _finalize(beliefs, label: str, wp, rollout, cfg: VoidConfig, fallback: bool 
                            void_prob=vp, label=label, fallback=fallback)
 
 
-def _stay(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig,
-          area: Area | None) -> CandidateAction:
-    """The stay-in-place fallback, exempt from the gate, for when no candidate passes it."""
-    wp = uav.xy.copy()
+def _fallback(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area | None,
+              label: str, wp) -> CandidateAction:
+    """The flight to `wp`, exempt from the gate: stay-in-place when no candidate passes
+    it, or the radial escape from inside a void disc."""
     rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-    return _finalize(beliefs, "stay", wp, rollout, cfg, fallback=True)
+    return _finalize(beliefs, label, wp, rollout, cfg, fallback=True)
 
 
 def lavapilot_select(
@@ -198,21 +198,19 @@ def lavapilot_select(
     active = [b for b in beliefs if not b.localized]
     if not active:
         return None
-    x_star = min(active, key=lambda b: (tracker.uncertainty(b), b.tag_id))
+    x_star = min(active, key=tracker.uncertainty)  # on a tie, the first in the list
     est_xy = tracker.estimate(x_star)[:2]
 
     points = candidate_points_abc(uav, est_xy, cfg.r_min)
-    if float(math.hypot(*(uav.xy - est_xy))) <= cfg.r_min:
-        wp = points[0][1]
-        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
-        return _finalize(beliefs, "escape", wp, rollout, cfg, fallback=True)
+    if len(points) == 1:  # on or inside the void circle: only point A
+        return _fallback(beliefs, uav, kin, cfg, area, "escape", points[0][1])
 
     best = next(_gated(beliefs, uav, kin, cfg, area, points), None)
     if best is None:
         best = min(_gated(beliefs, uav, kin, cfg, area, _discrete_waypoints(uav, kin, cfg, area)),
                    key=lambda c: float(math.hypot(*(c[1] - est_xy))), default=None)
     if best is None:
-        return _stay(beliefs, uav, kin, cfg, area)
+        return _fallback(beliefs, uav, kin, cfg, area, "stay", uav.xy.copy())
     return _finalize(beliefs, *best, cfg)
 
 
@@ -306,7 +304,7 @@ def info_gain_select(
     candidates = [*_discrete_waypoints(uav, kin, cfg, area), ("stay", uav.xy.copy())]
     best = max(_gated(beliefs, uav, kin, cfg, area, candidates), key=reward, default=None)
     if best is None:
-        return _stay(beliefs, uav, kin, cfg, area)
+        return _fallback(beliefs, uav, kin, cfg, area, "stay", uav.xy.copy())
     return _finalize(beliefs, *best, cfg)
 
 

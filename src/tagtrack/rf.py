@@ -25,7 +25,7 @@ angle itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,15 +96,6 @@ class PropagationConfig:
 
 def wavelength_from_mhz(freq_mhz: float) -> float:
     return SPEED_OF_LIGHT / (freq_mhz * 1e6)
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One RSSI observation of a tag at a time step."""
-
-    tag_id: int
-    rssi: float
-    time_step: int = 0
 
 
 def _pattern_db(cfg: PropagationConfig, cos_phi: np.ndarray) -> np.ndarray:
@@ -230,26 +221,20 @@ def received_power_array(positions, uav: UavState, cfg: PropagationConfig, heigh
     return h
 
 
-def sample_measurement(
-    xy,
-    height: float,
-    uav: UavState,
-    cfg: PropagationConfig,
-    rngs,
-    wavelengths,
-    time_step: int = 0,
-) -> list[Measurement]:
+def sample_measurement(xy, height: float, uav: UavState, cfg: PropagationConfig, rngs,
+                       wavelengths) -> np.ndarray:
     """One noisy RSSI observation per target: mean power plus N(0, noise_var).
 
-    `xy` holds the (T, 2) horizontal target positions, all at `height`; target j is
-    tag j + 1. The mean powers of all targets come from one kernel call, with one
-    carrier wavelength per target; then each target's noise is drawn from its own
-    generator in `rngs`, in target order.
+    `xy` holds the (T, 2) horizontal target positions, all at `height`, and the (T,)
+    result holds target j's RSSI in row j. The mean powers of all targets come from
+    one kernel call, with one carrier wavelength per target; then each target's noise
+    is drawn from its own generator in `rngs`, in target order.
     """
-    powers = received_power_array(xy, uav, cfg, height, np.asarray(wavelengths, dtype=float))
+    zs = received_power_array(xy, uav, cfg, height, np.asarray(wavelengths, dtype=float))
     sd = math.sqrt(cfg.noise_var)
-    return [Measurement(tag_id=j + 1, rssi=float(p + rng.normal(0.0, sd)), time_step=time_step)
-            for j, (p, rng) in enumerate(zip(powers, rngs, strict=True))]
+    for j, rng in zip(range(len(zs)), rngs, strict=True):  # one generator per target
+        zs[j] += rng.normal(0.0, sd)
+    return zs
 
 
 def log_likelihood_array(rssi: float, positions, uav: UavState, cfg: PropagationConfig,

@@ -39,7 +39,6 @@ class ObjectBelief:
     build a new belief rather than write into these arrays.
     """
 
-    tag_id: int
     particles: np.ndarray
     weights: np.ndarray
     height: float
@@ -63,7 +62,6 @@ class ObjectBelief:
 
 
 def init_belief(
-    tag_id: int,
     area: Area,
     tag_height: float,
     wavelength: float,
@@ -72,12 +70,11 @@ def init_belief(
 ) -> ObjectBelief:
     """Uniform particles over the 2D search area at the tag height, uniform weights."""
     n = cfg.num_particles
-    return ObjectBelief(tag_id=tag_id, particles=area.sample(rng, n), weights=np.full(n, 1.0 / n),
+    return ObjectBelief(particles=area.sample(rng, n), weights=np.full(n, 1.0 / n),
                         height=float(tag_height), wavelength=float(wavelength))
 
 
 def init_belief_at(
-    tag_id: int,
     position,
     sigma: float,
     wavelength: float,
@@ -96,7 +93,7 @@ def init_belief_at(
     pts += rng.normal(scale=sigma, size=(n, 2))
     if area is not None:
         pts = area.clamp(pts)
-    return ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
+    return ObjectBelief(particles=pts, weights=np.full(n, 1.0 / n),
                         height=float(center[2]), wavelength=float(wavelength))
 
 
@@ -131,19 +128,17 @@ def predict(
 
 def update(
     belief: ObjectBelief,
-    z: rf.Measurement,
+    rssi: float,
     uav: UavState,
     cfg: rf.PropagationConfig,
 ) -> ObjectBelief:
-    """Bayes reweighting by the measurement likelihood at the belief's height and
-    carrier wavelength, log-sum-exp stabilized.
+    """Bayes reweighting by the likelihood of one RSSI measurement at the belief's
+    height and carrier wavelength, log-sum-exp stabilized.
 
     If every likelihood underflows (all particles coincident with the observer),
     the weights reset to uniform and the belief is flagged diverged.
     """
-    if z.tag_id != belief.tag_id:
-        raise ValueError(f"measurement tag {z.tag_id} does not match belief tag {belief.tag_id}")
-    logw = rf.log_likelihood_array(z.rssi, belief.particles, uav, cfg, belief.height,
+    logw = rf.log_likelihood_array(rssi, belief.particles, uav, cfg, belief.height,
                                    belief.wavelength)
     with np.errstate(divide="ignore"):
         logw += np.log(belief.weights)

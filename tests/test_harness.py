@@ -154,6 +154,17 @@ def test_range_error_names_the_json_key(d, key):
         ScenarioConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"max_flight_time_s": -1.0}, "max_flight_time_s must be non-negative"),
+    ({"belief_init": {"sigma_m": -1.0}}, "belief_init.sigma_m must be non-negative"),
+    ({"belief_init": {"mode": "x"}}, "unknown belief_init.mode: x"),
+], ids=["max_flight_time", "belief_init_sigma", "belief_init_mode"])
+def test_validate_error_names_the_json_key(d, message):
+    with pytest.raises(harness.ConfigError) as exc:
+        ScenarioConfig.from_dict(d).validate()
+    assert str(exc.value) == message
+
+
 NAN = float("nan")
 
 
@@ -226,13 +237,12 @@ def test_mission_filter_matches_sequential_replay():
     resampled = 0
     for j, ss in enumerate(filt_ss.spawn(cfg.num_tags)):
         rng = np.random.default_rng(ss)
-        b = tracker.init_belief(j + 1, cfg.area, cfg.tag_height, cfg.rf.wavelength, cfg.tracker,
-                                rng)
+        b = tracker.init_belief(cfg.area, cfg.tag_height, cfg.rf.wavelength, cfg.tracker, rng)
         for s in rec.steps:
             uav = world.UavState(position=np.array([s.uav_x, s.uav_y, s.uav_z]),
                                  heading=s.uav_heading)
             b = tracker.predict(b, cfg.filter_dynamics, rng.standard_normal((n, 3)), cfg.area)
-            b = tracker.update(b, rf.Measurement(j + 1, s.rssi[j], s.k), uav, cfg.rf)
+            b = tracker.update(b, s.rssi[j], uav, cfg.rf)
             out = tracker.resample_if_needed(b, cfg.tracker, rng)
             resampled += out is not b
             b = tracker.mark_localized(out, cfg.tracker)

@@ -17,15 +17,15 @@ def make_uav(x, y, z=30.0, heading=0.0, speed=0.0):
     return UavState(position=np.array([x, y, z]), heading=heading, speed=speed)
 
 
-def point_mass(x, y, tag_id=1, n=4):
+def point_mass(x, y, n=4):
     pts = np.tile(np.array([x, y]), (n, 1))
-    return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
+    return tracker.ObjectBelief(particles=pts, weights=np.full(n, 1.0 / n),
                                 height=1.0, wavelength=RF.wavelength)
 
 
-def blob(rng, x, y, sigma, tag_id=1, n=200):
+def blob(rng, x, y, sigma, n=200):
     pts = np.column_stack([rng.normal(x, sigma, n), rng.normal(y, sigma, n)])
-    return tracker.ObjectBelief(tag_id=tag_id, particles=pts, weights=np.full(n, 1.0 / n),
+    return tracker.ObjectBelief(particles=pts, weights=np.full(n, 1.0 / n),
                                 height=1.0, wavelength=RF.wavelength)
 
 
@@ -53,7 +53,7 @@ def test_void_probability_trivials():
     assert void_probability(near, pose, 50.0) == 0.0
     # 0.3 of the mass inside -> 0.7
     pts = np.array([[10.0, 0.0], [200.0, 0.0]])
-    b = tracker.ObjectBelief(tag_id=1, particles=pts, weights=np.array([0.3, 0.7]), height=1.0,
+    b = tracker.ObjectBelief(particles=pts, weights=np.array([0.3, 0.7]), height=1.0,
                              wavelength=RF.wavelength)
     assert void_probability(b, pose, 50.0) == pytest.approx(0.7, abs=1e-15)
 
@@ -64,11 +64,11 @@ def test_void_probability_permutation_invariant():
     w = dyadic_weights(rng, 16)
     pose = make_uav(5.0, -3.0)
     base = void_probability(
-        tracker.ObjectBelief(1, pts, w, 1.0, RF.wavelength), pose, 60.0)
+        tracker.ObjectBelief(pts, w, 1.0, RF.wavelength), pose, 60.0)
     for _ in range(10):
         perm = rng.permutation(16)
         shuffled = void_probability(
-            tracker.ObjectBelief(1, pts[perm], w[perm], 1.0, RF.wavelength), pose, 60.0)
+            tracker.ObjectBelief(pts[perm], w[perm], 1.0, RF.wavelength), pose, 60.0)
         assert shuffled == base
 
 
@@ -83,21 +83,21 @@ def test_trajectory_void_singleton_reduction():
     assert planner.trajectory_void_probability([b], [pose], 50.0) == want
 
 
-def dyadic_blob(rng, x, y, sigma, tag_id=1, n=200):
-    b = blob(rng, x, y, sigma, tag_id, n)
+def dyadic_blob(rng, x, y, sigma, n=200):
+    b = blob(rng, x, y, sigma, n)
     # exact binary fractions: order-independent sums
     return replace(b, weights=dyadic_weights(rng, n))
 
 
 def test_trajectory_void_monotone_under_extension():
     rng = np.random.default_rng(2)
-    beliefs = [dyadic_blob(rng, 50.0, 50.0, 20.0, 1), dyadic_blob(rng, 150.0, 80.0, 25.0, 2)]
+    beliefs = [dyadic_blob(rng, 50.0, 50.0, 20.0), dyadic_blob(rng, 150.0, 80.0, 25.0)]
     poses = [make_uav(40.0 + 10 * i, 30.0) for i in range(6)]
     base = planner.trajectory_void_probability(beliefs, poses[:3], 50.0)
     more_poses = planner.trajectory_void_probability(beliefs, poses, 50.0)
     assert more_poses <= base
     more_beliefs = planner.trajectory_void_probability(
-        beliefs + [dyadic_blob(rng, 60.0, 40.0, 15.0, 3)], poses[:3], 50.0)
+        beliefs + [dyadic_blob(rng, 60.0, 40.0, 15.0)], poses[:3], 50.0)
     assert more_beliefs <= base
 
 
@@ -111,7 +111,7 @@ def test_trajectory_void_equals_brute_force():
             n = int(rng.integers(1, 17))
             pts = np.column_stack([rng.uniform(-100, 100, n), rng.uniform(-100, 100, n)])
             w = dyadic_weights(rng, n) if n > 1 else np.array([1.0])
-            beliefs.append(tracker.ObjectBelief(j + 1, pts, w, 1.0, RF.wavelength))
+            beliefs.append(tracker.ObjectBelief(pts, w, 1.0, RF.wavelength))
             arrays.append((pts, w))
         n_poses = int(rng.integers(1, 12))
         poses = [make_uav(float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100)))
@@ -193,9 +193,9 @@ def test_lavapilot_blocked_falls_through_to_discrete():
     # a second object's belief sits on the LOS corridor; A, B, C all violate the
     # bound and the planner must pick the qualifying heading nearest the target
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
-    target = point_mass(0.0, 0.0, tag_id=1)
+    target = point_mass(0.0, 0.0)
     # localized objects still constrain the trajectory
-    blocker = replace(point_mass(120.0, 0.0, tag_id=2), localized=True)
+    blocker = replace(point_mass(120.0, 0.0), localized=True)
     uav = make_uav(200.0, 0.0)
     beliefs = [target, blocker]
 
@@ -226,7 +226,7 @@ def test_lavapilot_infeasible_start_returns_stay_fallback():
     # blocker belief already within r_min of the start pose: nothing can satisfy
     # the bound, so the planner reports the stay-in-place fallback
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
-    beliefs = [point_mass(0.0, 0.0, 1), point_mass(75.0, 0.0, 2)]
+    beliefs = [point_mass(0.0, 0.0), point_mass(75.0, 0.0)]
     action = planner.lavapilot_select(beliefs, make_uav(100.0, 0.0), KIN, cfg)
     assert action.label == "stay"
     assert action.fallback
@@ -242,9 +242,22 @@ def test_lavapilot_escape_when_inside_void_disc():
     np.testing.assert_allclose(action.waypoint, [50.0, 0.0], atol=1e-12)
 
 
+def test_lavapilot_tie_targets_the_first_belief():
+    # equal spreads: the planner steers toward the first belief in the list, which in a
+    # mission's tag-ordered list is the lowest tag
+    cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
+    west, east = point_mass(0.0, 0.0), point_mass(200.0, 0.0)
+    uav = make_uav(100.0, 0.0)
+    for beliefs, want in (([west, east], [50.0, 0.0]), ([east, west], [150.0, 0.0])):
+        assert tracker.uncertainty(beliefs[0]) == tracker.uncertainty(beliefs[1])
+        action = planner.lavapilot_select(beliefs, uav, KIN, cfg)
+        assert action.label == "A"
+        np.testing.assert_allclose(action.waypoint, want, atol=1e-12)
+
+
 def test_lavapilot_never_evaluates_likelihoods():
     rng = np.random.default_rng(8)
-    beliefs = [blob(rng, 100.0, 400.0, 40.0, 1), blob(rng, 400.0, 100.0, 60.0, 2)]
+    beliefs = [blob(rng, 100.0, 400.0, 40.0), blob(rng, 400.0, 100.0, 60.0)]
     cfg = planner.VoidConfig()
     rf.reset_likelihood_calls()
     planner.lavapilot_select(beliefs, make_uav(250.0, 250.0), KIN, cfg, Area(0, 500, 0, 500))
@@ -253,7 +266,7 @@ def test_lavapilot_never_evaluates_likelihoods():
 
 def test_info_gain_evaluates_likelihoods():
     rng = np.random.default_rng(8)
-    beliefs = [blob(rng, 100.0, 400.0, 40.0, 1)]
+    beliefs = [blob(rng, 100.0, 400.0, 40.0)]
     cfg = planner.VoidConfig()
     rf.reset_likelihood_calls()
     action = planner.info_gain_select(beliefs, make_uav(250.0, 250.0), KIN, cfg,
@@ -316,7 +329,7 @@ def test_info_gain_uniform_likelihood_breaks_ties_to_first_candidate():
 
 def test_info_gain_respects_void_gate():
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
-    beliefs = [point_mass(180.0, 100.0, 1)]  # due east of the observer, 80 m away
+    beliefs = [point_mass(180.0, 100.0)]  # due east of the observer, 80 m away
     uav = make_uav(100.0, 100.0)
     action = planner.info_gain_select(beliefs, uav, KIN, cfg,
                                       planner.PlannerKind(kind="renyi"), RF)
@@ -373,7 +386,7 @@ def test_verify_void_bound():
 
 def test_argmin_target_invariant_under_common_sigma_scaling():
     rng = np.random.default_rng(12)
-    beliefs = [blob(rng, 100.0, 100.0, 10.0 + 7.0 * j, tag_id=j + 1) for j in range(4)]
+    beliefs = [blob(rng, 100.0, 100.0, 10.0 + 7.0 * j) for j in range(4)]
     order = np.argsort([tracker.uncertainty(b) for b in beliefs])
     scaled = []
     for b in beliefs:

@@ -35,10 +35,10 @@ def loglik(rssi, pos, uav, cfg):
     return float(rf.log_likelihood_array(rssi, pos[:2], uav, cfg, pos[2]))
 
 
-def measure(pos, uav, cfg, rng, time_step=0):
-    """One measurement of one tag at pos = (x, y, z) on the configured carrier."""
-    z, = rf.sample_measurement(pos[None, :2], pos[2], uav, cfg, [rng], [cfg.wavelength], time_step)
-    return z
+def measure(pos, uav, cfg, rng):
+    """One RSSI measurement of one tag at pos = (x, y, z) on the configured carrier."""
+    z, = rf.sample_measurement(pos[None, :2], pos[2], uav, cfg, [rng], [cfg.wavelength])
+    return float(z)
 
 
 def test_free_space_unit_distance():
@@ -156,14 +156,13 @@ def test_batched_measurement_equals_one_target_calls(mode, table):
         wavelengths = rng.uniform(0.5, 3.0, len(xy))
         batched_rngs = [np.random.default_rng(100 + j) for j in range(len(xy))]
         single_rngs = [np.random.default_rng(100 + j) for j in range(len(xy))]
-        batched = rf.sample_measurement(xy, height, uav, cfg, batched_rngs, wavelengths,
-                                        time_step=4)
+        batched = rf.sample_measurement(xy, height, uav, cfg, batched_rngs, wavelengths)
+        assert batched.shape == (len(xy),) and batched.dtype == float
         for j, (lam, z, r_single, r_batched) in enumerate(zip(wavelengths, batched, single_rngs,
                                                               batched_rngs)):
-            single, = rf.sample_measurement(xy[j:j + 1], height, uav, cfg, [r_single], [lam],
-                                            time_step=4)
-            assert (z.tag_id, z.time_step) == (j + 1, 4)  # target j is tag j + 1
-            assert z.rssi == single.rssi
+            single = rf.sample_measurement(xy[j:j + 1], height, uav, cfg, [r_single], [lam])
+            assert single.shape == (1,)
+            assert z == single[0]  # row j is target j
             assert r_batched.bit_generator.state == r_single.bit_generator.state
         with pytest.raises(ValueError):  # one generator per target
             rf.sample_measurement(xy, height, uav, cfg, batched_rngs[:-1], wavelengths)
@@ -242,9 +241,7 @@ def test_sample_measurement_noiseless_limit():
     cfg = rf.PropagationConfig(noise_var=1e-300)
     uav = make_uav()
     obj = tag(100.0, 50.0)
-    z = measure(obj, uav, cfg, np.random.default_rng(0), time_step=3)
-    assert z.rssi == power(obj, uav, cfg)
-    assert z.tag_id == 1 and z.time_step == 3
+    assert measure(obj, uav, cfg, np.random.default_rng(0)) == power(obj, uav, cfg)
 
 
 def test_sample_measurement_deterministic():
@@ -253,7 +250,7 @@ def test_sample_measurement_deterministic():
     obj = tag(100.0, 50.0)
     a = measure(obj, uav, cfg, np.random.default_rng(9))
     b = measure(obj, uav, cfg, np.random.default_rng(9))
-    assert a.rssi == b.rssi
+    assert a == b
 
 
 def test_measurement_noise_variance():
@@ -262,7 +259,7 @@ def test_measurement_noise_variance():
     obj = tag(100.0, 50.0)
     rng = np.random.default_rng(4)
     h = power(obj, uav, cfg)
-    draws = np.array([measure(obj, uav, cfg, rng).rssi for _ in range(100_000)])
+    draws = np.array([measure(obj, uav, cfg, rng) for _ in range(100_000)])
     assert abs(float(np.var(draws - h)) - 25.0) < 0.75  # within 3%
 
 

@@ -15,9 +15,8 @@ def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
     return UavState(position=np.array([x, y, z]), heading=heading)
 
 
-def belief_from(particles, weights, tag_id=1, height=1.0):
-    return tracker.ObjectBelief(tag_id=tag_id,
-                                particles=np.asarray(particles, dtype=float),
+def belief_from(particles, weights, height=1.0):
+    return tracker.ObjectBelief(particles=np.asarray(particles, dtype=float),
                                 weights=np.asarray(weights, dtype=float), height=height,
                                 wavelength=2.0)
 
@@ -25,7 +24,7 @@ def belief_from(particles, weights, tag_id=1, height=1.0):
 def test_init_belief_uniform():
     area = Area(0.0, 10.0, 0.0, 10.0)
     cfg = tracker.TrackerConfig(num_particles=4)
-    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(0))
+    b = tracker.init_belief(area, 1.0, 2.0, cfg, np.random.default_rng(0))
     assert b.particles.shape == (4, 2) and b.particles.flags.c_contiguous
     assert np.all(b.weights == 0.25)
     assert b.height == 1.0
@@ -36,7 +35,7 @@ def test_init_belief_uniform():
 def test_init_belief_mean_near_center():
     area = Area(0.0, 1000.0, 0.0, 1000.0)
     cfg = tracker.TrackerConfig(num_particles=10_000)
-    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(1))
+    b = tracker.init_belief(area, 1.0, 2.0, cfg, np.random.default_rng(1))
     est = tracker.estimate(b)
     assert abs(est[0] - 500.0) < 20.0
     assert abs(est[1] - 500.0) < 20.0
@@ -45,8 +44,8 @@ def test_init_belief_mean_near_center():
 def test_init_belief_deterministic():
     area = Area(0.0, 100.0, 0.0, 100.0)
     cfg = tracker.TrackerConfig(num_particles=256)
-    a = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(5))
-    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, np.random.default_rng(5))
+    a = tracker.init_belief(area, 1.0, 2.0, cfg, np.random.default_rng(5))
+    b = tracker.init_belief(area, 1.0, 2.0, cfg, np.random.default_rng(5))
     assert np.array_equal(a.particles, b.particles)
 
 
@@ -133,13 +132,13 @@ def test_summaries_follow_every_belief_change():
             assert tracker.estimate(b)[2] == b.height
             assert tracker.uncertainty(b) == pytest.approx(sigma, rel=1e-12)
 
-    b = tracker.init_belief(1, area, 1.0, 2.0, cfg, rng)
+    b = tracker.init_belief(area, 1.0, 2.0, cfg, rng)
     check(b)
     resampled = 0
-    for k in range(40):
+    for _ in range(40):
         b = tracker.predict(b, dyn, rng.standard_normal((cfg.num_particles, 3)), area)
         check(b)
-        b = tracker.update(b, rf.Measurement(1, float(rng.uniform(-110.0, -70.0)), k), uav, rf_cfg)
+        b = tracker.update(b, float(rng.uniform(-110.0, -70.0)), uav, rf_cfg)
         check(b)
         out = tracker.resample_if_needed(b, cfg, rng)
         resampled += out is not b
@@ -171,8 +170,7 @@ def test_update_constant_likelihood_keeps_weights():
     pts = np.tile(np.array([100.0, 0.0]), (4, 1))
     b = belief_from(pts, [0.25, 0.25, 0.25, 0.25])
     cfg = rf.PropagationConfig()
-    z = rf.Measurement(tag_id=1, rssi=-80.0)
-    out = tracker.update(b, z, make_uav(), cfg)
+    out = tracker.update(b, -80.0, make_uav(), cfg)
     assert np.array_equal(out.weights, b.weights)
     assert not out.diverged
 
@@ -187,7 +185,7 @@ def test_update_three_to_one_ratio():
     # choose z so that g1/g2 = 3: (z-h2)^2 - (z-h1)^2 = 2*Q*ln 3
     z = (2.0 * 25.0 * math.log(3.0) + h1 * h1 - h2 * h2) / (2.0 * (h1 - h2))
     b = belief_from([p1[:2], p2[:2]], [0.5, 0.5], height=1.0)
-    out = tracker.update(b, rf.Measurement(1, z), uav, cfg)
+    out = tracker.update(b, z, uav, cfg)
     assert out.weights[0] == pytest.approx(0.75, abs=1e-12)
     assert out.weights[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -202,7 +200,7 @@ def test_update_matches_high_precision_oracle():
         z = float(rng.uniform(-120, -60))
         ll = rf.log_likelihood_array(z, pts, uav, cfg, 1.0)
         want = posterior_weights_mpmath(w, ll)
-        out = tracker.update(belief_from(pts, w), rf.Measurement(1, z), uav, cfg)
+        out = tracker.update(belief_from(pts, w), z, uav, cfg)
         np.testing.assert_allclose(out.weights, want, rtol=1e-12)
 
 
@@ -210,16 +208,9 @@ def test_update_underflow_resets_uniform_and_flags():
     uav = make_uav(10.0, 10.0, 30.0)
     pts = np.tile(uav.position[:2], (8, 1))  # all particles coincide with the observer
     b = belief_from(pts, np.full(8, 1.0 / 8), height=uav.position[2])
-    out = tracker.update(b, rf.Measurement(1, -80.0), uav, rf.PropagationConfig())
+    out = tracker.update(b, -80.0, uav, rf.PropagationConfig())
     assert out.diverged
     assert np.all(out.weights == 1.0 / 8)
-
-
-def test_update_tag_mismatch_raises():
-    b = belief_from([[0.0, 0.0]], [1.0], tag_id=2)
-    with pytest.raises(ValueError):
-        tracker.update(b, rf.Measurement(tag_id=1, rssi=-80.0), make_uav(),
-                       rf.PropagationConfig())
 
 
 def test_resample_uniform_weights_identity():
@@ -252,7 +243,7 @@ def test_systematic_resample_copy_counts():
 
 
 def test_estimate_trivials():
-    b = belief_from([[5.0, 6.0]], [1.0], tag_id=3)
+    b = belief_from([[5.0, 6.0]], [1.0])
     est = tracker.estimate(b)
     assert est.shape == (3,)
     assert np.array_equal(est, np.array([5.0, 6.0, 1.0]))
@@ -301,11 +292,11 @@ def test_weights_normalized_after_update_and_resample():
     cfg = rf.PropagationConfig()
     tcfg = tracker.TrackerConfig(num_particles=300)
     area = Area(0.0, 500.0, 0.0, 500.0)
-    b = tracker.init_belief(1, area, 1.0, 2.0, tcfg, rng)
+    b = tracker.init_belief(area, 1.0, 2.0, tcfg, rng)
     uav = make_uav(250.0, 250.0)
-    for k in range(30):
+    for _ in range(30):
         z = float(rng.uniform(-130, -60))
-        b = tracker.update(b, rf.Measurement(1, z, k), uav, cfg)
+        b = tracker.update(b, z, uav, cfg)
         assert np.all(b.weights >= 0.0)
         assert abs(float(np.sum(b.weights)) - 1.0) <= 1e-9
         b = tracker.resample_if_needed(b, tcfg, rng)
@@ -318,8 +309,7 @@ def test_mark_localized_is_monotone():
     out = tracker.mark_localized(tight, cfg)
     assert out.localized
     # spread the particles far apart: the flag must not revert
-    wide = tracker.ObjectBelief(tag_id=1,
-                                particles=np.array([[0.0, 0], [500.0, 0]]),
+    wide = tracker.ObjectBelief(particles=np.array([[0.0, 0], [500.0, 0]]),
                                 weights=np.array([0.5, 0.5]), height=1.0, wavelength=2.0,
                                 localized=True)
     assert tracker.mark_localized(wide, cfg) is wide
