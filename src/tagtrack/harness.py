@@ -265,7 +265,7 @@ def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return ScenarioConfig.from_dict(data)
 

@@ -61,7 +61,7 @@ class PlannerKind:
 
 @dataclass
 class CandidateAction:
-    """A waypoint with its rolled-out pose sequence and trajectory void probability.
+    """A waypoint in the mission area with its rollout and trajectory void probability.
 
     `fallback` marks actions exempted from the void gate (stay-in-place when no
     candidate qualifies, or the radial escape when starting inside a void disc).
@@ -146,21 +146,21 @@ def candidate_points_abc(uav: UavState, target_estimate, r_min: float) -> list[t
     return [("A", point_a), ("B", point_b), ("C", point_c)]
 
 
-def _discrete_waypoints(uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area | None):
+def _discrete_waypoints(uav: UavState, kin: UavKinematics, cfg: VoidConfig):
     """The |U| headings {0, 2pi/|U|, ...} as (label, waypoint one full-speed epoch away)."""
     reach = kin.v_max * cfg.horizon * cfg.step_period
     for i in range(cfg.action_count):
         theta = 2.0 * math.pi * i / cfg.action_count
         wp = uav.xy + reach * np.array([math.cos(theta), math.sin(theta)])
-        yield f"discrete_{i:02d}", wp if area is None else area.clamp(wp)
+        yield f"discrete_{i:02d}", wp
 
 
-def _gated(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area | None,
-           candidates):
-    """(label, waypoint, rollout) of each (label, waypoint) candidate, in order, whose
-    trajectory keeps the void probability of every object at or above cfg.b_min."""
+def _gated(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area, candidates):
+    """(label, clamped waypoint, rollout) of each (label, waypoint) candidate, in order,
+    whose trajectory keeps the void probability of every object at or above cfg.b_min."""
     for label, wp in candidates:
-        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
+        wp = area.clamp(wp)
+        rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period)
         if _void_ok(beliefs, rollout, cfg.r_min, cfg.b_min):
             yield label, wp, rollout
 
@@ -171,11 +171,12 @@ def _finalize(beliefs, label: str, wp, rollout, cfg: VoidConfig, fallback: bool 
                            void_prob=vp, label=label, fallback=fallback)
 
 
-def _fallback(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area | None,
+def _fallback(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Area,
               label: str, wp) -> CandidateAction:
-    """The flight to `wp`, exempt from the gate: stay-in-place when no candidate passes
-    it, or the radial escape from inside a void disc."""
-    rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period, area)
+    """The flight to `wp` clamped into the area, exempt from the gate: stay-in-place when
+    no candidate passes it, or the radial escape from inside a void disc."""
+    wp = area.clamp(wp)
+    rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period)
     return _finalize(beliefs, label, wp, rollout, cfg, fallback=True)
 
 
@@ -184,7 +185,7 @@ def lavapilot_select(
     uav: UavState,
     kin: UavKinematics,
     cfg: VoidConfig,
-    area: Area | None = None,
+    area: Area,
 ) -> CandidateAction | None:
     """Greedy task-based selection toward the lowest-spread unlocalized object.
 
@@ -207,10 +208,10 @@ def lavapilot_select(
 
     best = next(_gated(beliefs, uav, kin, cfg, area, points), None)
     if best is None:
-        best = min(_gated(beliefs, uav, kin, cfg, area, _discrete_waypoints(uav, kin, cfg, area)),
+        best = min(_gated(beliefs, uav, kin, cfg, area, _discrete_waypoints(uav, kin, cfg)),
                    key=lambda c: float(math.hypot(*(c[1] - est_xy))), default=None)
     if best is None:
-        return _fallback(beliefs, uav, kin, cfg, area, "stay", uav.xy.copy())
+        return _fallback(beliefs, uav, kin, cfg, area, "stay", uav.xy)
     return _finalize(beliefs, *best, cfg)
 
 
@@ -284,7 +285,7 @@ def info_gain_select(
     cfg: VoidConfig,
     kind: PlannerKind,
     rf_cfg: rf.PropagationConfig,
-    area: Area | None = None,
+    area: Area,
 ) -> CandidateAction | None:
     """Reward-maximizing selection over the discrete headings plus stay-in-place.
 
@@ -301,10 +302,10 @@ def info_gain_select(
         terminal = gated[2][-1]
         return sum(_pseudo_update_reward(b, terminal, kind, rf_cfg) for b in active)
 
-    candidates = [*_discrete_waypoints(uav, kin, cfg, area), ("stay", uav.xy.copy())]
+    candidates = [*_discrete_waypoints(uav, kin, cfg), ("stay", uav.xy)]
     best = max(_gated(beliefs, uav, kin, cfg, area, candidates), key=reward, default=None)
     if best is None:
-        return _fallback(beliefs, uav, kin, cfg, area, "stay", uav.xy.copy())
+        return _fallback(beliefs, uav, kin, cfg, area, "stay", uav.xy)
     return _finalize(beliefs, *best, cfg)
 
 
@@ -315,7 +316,7 @@ def select_action(
     cfg: VoidConfig,
     kind: PlannerKind,
     rf_cfg: rf.PropagationConfig,
-    area: Area | None = None,
+    area: Area,
 ) -> CandidateAction | None:
     """Dispatch to the configured planner."""
     if kind.kind == "lavapilot":

@@ -113,18 +113,16 @@ def _pattern_db(cfg: PropagationConfig, cos_phi: np.ndarray) -> np.ndarray:
     return gain
 
 
-def antenna_gain_db(cfg: PropagationConfig, rel_azimuth) -> np.ndarray:
-    """Directional gain in dB as a function of azimuth relative to the heading."""
+def _table_gain_db(cfg: PropagationConfig, rel_azimuth) -> np.ndarray:
+    """Gain in dB of cfg.antenna_table, interpolated periodically at the relative azimuth."""
     phi = np.asarray(rel_azimuth, dtype=float) % (2.0 * math.pi)
-    if cfg.antenna_table is not None:
-        pts = sorted((a % (2.0 * math.pi), g) for a, g in cfg.antenna_table)
-        ang = np.array([p[0] for p in pts])
-        gain = np.array([p[1] for p in pts])
-        # periodic wrap for interpolation
-        ang = np.concatenate([ang, [ang[0] + 2.0 * math.pi]])
-        gain = np.concatenate([gain, [gain[0]]])
-        return np.interp(phi, ang, gain)
-    return _pattern_db(cfg, np.asarray(np.cos(phi)))
+    pts = sorted((a % (2.0 * math.pi), g) for a, g in cfg.antenna_table)
+    ang = np.array([p[0] for p in pts])
+    gain = np.array([p[1] for p in pts])
+    # periodic wrap for interpolation
+    ang = np.concatenate([ang, [ang[0] + 2.0 * math.pi]])
+    gain = np.concatenate([gain, [gain[0]]])
+    return np.interp(phi, ang, gain)
 
 
 def _fresnel_gamma(cfg: PropagationConfig, sin_psi, cos2_psi):
@@ -202,7 +200,7 @@ def _model_power(xy, z, uav: UavState, cfg: PropagationConfig, wavelength):
         else:
             rel = np.arctan2(dy, dx, out=dx)
             rel -= uav.heading
-            h += antenna_gain_db(cfg, rel)
+            h += _table_gain_db(cfg, rel)
     h += cfg.p0_dbm
     return h.reshape(batch), d_sq.reshape(batch)
 

@@ -80,10 +80,10 @@ def init_belief_at(
     wavelength: float,
     cfg: TrackerConfig,
     rng: np.random.Generator,
-    area: Area | None = None,
+    area: Area,
 ) -> ObjectBelief:
     """Particles drawn as a tight horizontal Gaussian blob around a known 3D position,
-    at its height, for a tag on the given carrier wavelength.
+    clamped to the mission area, at its height, for a tag on the given carrier wavelength.
 
     Used to construct converged beliefs for controlled experiments.
     """
@@ -91,8 +91,7 @@ def init_belief_at(
     center = np.asarray(position, dtype=float).reshape(3)
     pts = np.tile(center[:2], (n, 1))
     pts += rng.normal(scale=sigma, size=(n, 2))
-    if area is not None:
-        pts = area.clamp(pts)
+    pts = area.clamp(pts)
     return ObjectBelief(particles=pts, weights=np.full(n, 1.0 / n),
                         height=float(center[2]), wavelength=float(wavelength))
 
@@ -101,12 +100,12 @@ def predict(
     belief: ObjectBelief,
     dyn: TargetDynamics,
     noise: np.ndarray,
-    area: Area | None = None,
+    area: Area,
 ) -> ObjectBelief:
     """Propagate every particle through the random-walk transition; weights unchanged.
 
     `noise` is an (N, 3) block of standard normals as `rng.standard_normal((N, 3))`
-    draws them; the new particles then match the x and y columns of
+    draws them; the new particles then match `area.clamp` of the x and y columns of
     `pts + random_walk_displacements(N, dyn, rng)` bit for bit. Only columns 0 and 1
     are read (TargetDynamics rejects z noise): the third keeps each generator's
     stream as it was. The result is a fresh (N, 2) array; the block is not kept.
@@ -120,9 +119,8 @@ def predict(
     for axis in (0, 1):
         col = np.multiply(noise[:, axis], np.sqrt(dyn.q_diag[axis]), out=pts[:, axis])
         col += old[:, axis]
-    if area is not None:
-        np.clip(pts[:, 0], area.x_min, area.x_max, out=pts[:, 0])
-        np.clip(pts[:, 1], area.y_min, area.y_max, out=pts[:, 1])
+    np.clip(pts[:, 0], area.x_min, area.x_max, out=pts[:, 0])
+    np.clip(pts[:, 1], area.y_min, area.y_max, out=pts[:, 1])
     return replace(belief, particles=pts)
 
 

@@ -109,7 +109,7 @@ def random_walk_displacements(n: int, dyn: TargetDynamics, rng: np.random.Genera
     return rng.normal(size=(n, 3)) * np.sqrt(dyn.q_diag)
 
 
-def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area | None = None) -> np.ndarray:
+def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area) -> np.ndarray:
     """Advance every target one step of its random walk, clamped to the mission area.
 
     `xy` holds the (T, 2) horizontal target positions; target j draws its (1, 3)
@@ -117,8 +117,7 @@ def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area | None = N
     z column is zero: targets stay at their fixed height). Returns a fresh (T, 2) array.
     """
     step = np.concatenate([random_walk_displacements(1, dyn, rng) for rng in rngs])
-    pos = xy + step[:, :2]
-    return pos if area is None else area.clamp(pos)
+    return area.clamp(xy + step[:, :2])
 
 
 @lru_cache(maxsize=4096)
@@ -166,19 +165,17 @@ def uav_rollout(
     kin: UavKinematics,
     horizon_steps: int,
     step_period: float,
-    area: Area | None = None,
 ) -> list[UavState]:
     """Emulate flying toward a 2D waypoint, returning poses sampled every step_period.
 
     The path is the straight segment to the waypoint with a trapezoidal speed profile
     starting from the current speed. Heading points along the travel direction; the
-    final pose never overshoots the waypoint. Waypoints outside `area` are clamped.
+    final pose never overshoots the waypoint. Kinematics only: the caller keeps the
+    waypoint inside the mission area, and the straight path then stays inside it too.
     """
     if horizon_steps < 1:
         raise ValueError("horizon_steps must be >= 1")
     wp = np.asarray(waypoint, dtype=float).reshape(-1)[:2]
-    if area is not None:
-        wp = area.clamp(wp)
     start = current.position
     delta = wp - start[:2]
     dist = float(math.hypot(delta[0], delta[1]))

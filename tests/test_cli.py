@@ -126,6 +126,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text("{not json")
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert cli.main(["bench", "--reps", "3"]) == 2
     for command in ("simulate", "montecarlo"):
         assert cli.main([command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2

@@ -252,6 +252,42 @@ def test_mission_filter_matches_sequential_replay():
     assert resampled > 0  # the resampling offsets share each generator with the noise
 
 
+def test_mission_keeps_every_position_inside_the_area(monkeypatch):
+    # tags start on the edges and walk fast, the filter's jitter is wide and the
+    # observer starts by a corner, so every clamp has work to do: particles, true tags
+    # and the waypoints the observer flies to each land on an edge at least once
+    walk = world.TargetDynamics(q_diag=np.array([25.0, 25.0, 0.0]))
+    cfg = small_config(tag_positions=[(0.0, 300.0), (300.0, 5.0)], uav_start_xy=(10.0, 20.0),
+                       tracker=tracker.TrackerConfig(num_particles=300, sigma_min=35.0),
+                       target_dynamics=walk, filter_dynamics=walk, max_flight_time=90.0,
+                       planner=planner.PlannerKind(kind="shannon"))
+    area = cfg.area
+    on_edge = {"particles": 0, "tags": 0, "waypoints": 0}
+
+    def inside(pts, kind):
+        pts = np.asarray(pts)
+        assert np.array_equal(area.clamp(pts), pts)
+        on_edge[kind] += int(np.sum((pts == [area.x_min, area.y_min])
+                                    | (pts == [area.x_max, area.y_max])))
+
+    def traced(module, name, check):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            check(out)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    traced(tracker, "predict", lambda b: inside(b.particles, "particles"))
+    traced(harness, "target_step", lambda xy: inside(xy, "tags"))
+    traced(planner, "select_action", lambda a: inside(a.waypoint, "waypoints"))
+    rec = harness.run_mission(cfg)
+    for s in rec.steps:
+        assert area.contains((s.uav_x, s.uav_y))
+    assert all(on_edge.values())
+
+
 def test_one_carrier_for_all_tags_equals_no_tag_frequencies():
     # each belief carries its tag's wavelength; when every tag sits on the configured
     # carrier, listing the frequencies must not change a single non-timing output

@@ -11,6 +11,7 @@ from oracles import dyadic_weights, trajectory_void_brute, void_probability_brut
 
 KIN = UavKinematics()
 RF = rf.PropagationConfig()
+WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
 
 
 def make_uav(x, y, z=30.0, heading=0.0, speed=0.0):
@@ -174,12 +175,13 @@ def test_candidate_points_boundary_cases():
 def test_lavapilot_all_localized_returns_none():
     b = replace(point_mass(0.0, 0.0), localized=True)
     cfg = planner.VoidConfig()
-    assert planner.lavapilot_select([b], make_uav(100.0, 0.0), KIN, cfg) is None
+    assert planner.lavapilot_select([b], make_uav(100.0, 0.0), KIN, cfg, WIDE) is None
 
 
 def test_lavapilot_point_mass_selects_a():
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
-    action = planner.lavapilot_select([point_mass(0.0, 0.0)], make_uav(100.0, 0.0), KIN, cfg)
+    action = planner.lavapilot_select([point_mass(0.0, 0.0)], make_uav(100.0, 0.0), KIN, cfg,
+                                      WIDE)
     assert action.label == "A"
     assert not action.fallback
     np.testing.assert_allclose(action.waypoint, [50.0, 0.0], atol=1e-12)
@@ -199,7 +201,7 @@ def test_lavapilot_blocked_falls_through_to_discrete():
     uav = make_uav(200.0, 0.0)
     beliefs = [target, blocker]
 
-    action = planner.lavapilot_select(beliefs, uav, KIN, cfg)
+    action = planner.lavapilot_select(beliefs, uav, KIN, cfg, WIDE)
     assert action.label.startswith("discrete_")
     assert action.void_prob >= cfg.b_min
 
@@ -227,7 +229,7 @@ def test_lavapilot_infeasible_start_returns_stay_fallback():
     # the bound, so the planner reports the stay-in-place fallback
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
     beliefs = [point_mass(0.0, 0.0), point_mass(75.0, 0.0)]
-    action = planner.lavapilot_select(beliefs, make_uav(100.0, 0.0), KIN, cfg)
+    action = planner.lavapilot_select(beliefs, make_uav(100.0, 0.0), KIN, cfg, WIDE)
     assert action.label == "stay"
     assert action.fallback
     assert action.void_prob < cfg.b_min
@@ -236,10 +238,60 @@ def test_lavapilot_infeasible_start_returns_stay_fallback():
 
 def test_lavapilot_escape_when_inside_void_disc():
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8, horizon=11, step_period=1.0)
-    action = planner.lavapilot_select([point_mass(0.0, 0.0)], make_uav(30.0, 0.0), KIN, cfg)
+    action = planner.lavapilot_select([point_mass(0.0, 0.0)], make_uav(30.0, 0.0), KIN, cfg,
+                                      WIDE)
     assert action.label == "escape"
     assert action.fallback
     np.testing.assert_allclose(action.waypoint, [50.0, 0.0], atol=1e-12)
+
+
+EDGE = Area(0.0, 500.0, 0.0, 500.0)
+
+
+def assert_flies_to_clamped(action, uav, raw_wp, cfg):
+    """`raw_wp` lies outside EDGE; the action holds its clamped point, which lies inside,
+    and flies the rollout to it."""
+    wp = EDGE.clamp(raw_wp)
+    assert not EDGE.contains(raw_wp) and EDGE.contains(action.waypoint)
+    assert np.array_equal(action.waypoint, wp)
+    want = uav_rollout(uav, wp, KIN, cfg.horizon, cfg.step_period)
+    assert len(action.rollout) == len(want)
+    for got, ref in zip(action.rollout, want):
+        assert np.array_equal(got.position, ref.position)
+        assert (got.heading, got.speed) == (ref.heading, ref.speed)
+
+
+def test_lavapilot_tangent_point_outside_area_is_clamped():
+    # a localized blocker closes A's corridor; the tangent point B lies past the west edge
+    cfg = planner.VoidConfig()
+    uav = make_uav(20.0, 400.0)
+    raw_b = dict(planner.candidate_points_abc(uav, (20.0, 250.0), cfg.r_min))["B"]
+    blocker = replace(point_mass(66.0, 345.0), localized=True)
+    action = planner.lavapilot_select([point_mass(20.0, 250.0), blocker], uav, KIN, cfg, EDGE)
+    assert action.label == "B" and not action.fallback
+    assert_flies_to_clamped(action, uav, raw_b, cfg)
+
+
+def test_lavapilot_escape_point_outside_area_is_clamped():
+    # inside the void disc of a tag 30 m from the west edge: point A lies past the edge
+    cfg = planner.VoidConfig()
+    uav = make_uav(10.0, 250.0)
+    [(_, raw_a)] = planner.candidate_points_abc(uav, (30.0, 250.0), cfg.r_min)
+    action = planner.lavapilot_select([point_mass(30.0, 250.0)], uav, KIN, cfg, EDGE)
+    assert action.label == "escape" and action.fallback
+    assert_flies_to_clamped(action, uav, raw_a, cfg)
+
+
+def test_lavapilot_heading_past_the_edge_is_clamped():
+    # a localized blocker closes A, B, C and the northern headings; the passing heading
+    # nearest the tag points past the west edge
+    cfg = planner.VoidConfig()
+    uav = make_uav(20.0, 250.0)
+    blocker = replace(point_mass(55.0, 310.0), localized=True)
+    action = planner.lavapilot_select([point_mass(5.0, 400.0), blocker], uav, KIN, cfg, EDGE)
+    assert action.label == "discrete_04" and not action.fallback
+    raw = dict(planner._discrete_waypoints(uav, KIN, cfg))[action.label]
+    assert_flies_to_clamped(action, uav, raw, cfg)
 
 
 def test_lavapilot_tie_targets_the_first_belief():
@@ -250,7 +302,7 @@ def test_lavapilot_tie_targets_the_first_belief():
     uav = make_uav(100.0, 0.0)
     for beliefs, want in (([west, east], [50.0, 0.0]), ([east, west], [150.0, 0.0])):
         assert tracker.uncertainty(beliefs[0]) == tracker.uncertainty(beliefs[1])
-        action = planner.lavapilot_select(beliefs, uav, KIN, cfg)
+        action = planner.lavapilot_select(beliefs, uav, KIN, cfg, WIDE)
         assert action.label == "A"
         np.testing.assert_allclose(action.waypoint, want, atol=1e-12)
 
@@ -323,7 +375,7 @@ def test_info_gain_uniform_likelihood_breaks_ties_to_first_candidate():
     cfg = planner.VoidConfig()
     for kind_name in ("shannon", "renyi"):
         action = planner.info_gain_select(beliefs, make_uav(400.0, 100.0), KIN, cfg,
-                                          planner.PlannerKind(kind=kind_name), RF)
+                                          planner.PlannerKind(kind=kind_name), RF, WIDE)
         assert action.label == "discrete_00"
 
 
@@ -332,7 +384,7 @@ def test_info_gain_respects_void_gate():
     beliefs = [point_mass(180.0, 100.0)]  # due east of the observer, 80 m away
     uav = make_uav(100.0, 100.0)
     action = planner.info_gain_select(beliefs, uav, KIN, cfg,
-                                      planner.PlannerKind(kind="renyi"), RF)
+                                      planner.PlannerKind(kind="renyi"), RF, WIDE)
     assert action is not None and not action.fallback
     assert action.void_prob >= cfg.b_min
     # heading 0 points straight at the point mass and must have been discarded
@@ -342,7 +394,7 @@ def test_info_gain_respects_void_gate():
 def test_info_gain_all_localized_returns_none():
     b = replace(point_mass(0.0, 0.0), localized=True)
     action = planner.info_gain_select([b], make_uav(100.0, 0.0), KIN, planner.VoidConfig(),
-                                      planner.PlannerKind(kind="renyi"), RF)
+                                      planner.PlannerKind(kind="renyi"), RF, WIDE)
     assert action is None
 
 
@@ -351,7 +403,7 @@ def test_info_gain_infeasible_start_returns_stay_fallback():
     # violates the bound, so the planner reports the stay-in-place fallback
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
     action = planner.info_gain_select([point_mass(75.0, 0.0)], make_uav(100.0, 0.0), KIN, cfg,
-                                      planner.PlannerKind(kind="shannon"), RF)
+                                      planner.PlannerKind(kind="shannon"), RF, WIDE)
     assert action.label == "stay"
     assert action.fallback
     assert action.void_prob < cfg.b_min
@@ -365,16 +417,30 @@ def test_info_gain_gated_stay_when_only_staying_passes():
                           500.0 + 90.0 * math.sin(2.0 * math.pi * i / cfg.action_count), i + 1)
                for i in range(cfg.action_count)]
     action = planner.info_gain_select(beliefs, make_uav(500.0, 500.0), KIN, cfg,
-                                      planner.PlannerKind(kind="renyi"), RF)
+                                      planner.PlannerKind(kind="renyi"), RF, WIDE)
     assert action.label == "stay"
     assert not action.fallback
     assert action.void_prob == 1.0
 
 
+def test_info_gain_heading_past_the_edge_is_clamped():
+    # every reward is zero (one-particle belief), so the first passing heading wins; a
+    # localized blocker closes headings 0 to 3, and heading 4 points past the west edge
+    cfg = planner.VoidConfig()
+    uav = make_uav(20.0, 250.0)
+    beliefs = [point_mass(400.0, 400.0, n=1), replace(point_mass(60.0, 290.0), localized=True)]
+    raw = dict(planner._discrete_waypoints(uav, KIN, cfg))["discrete_04"]
+    for kind_name in ("shannon", "renyi"):
+        action = planner.info_gain_select(beliefs, uav, KIN, cfg,
+                                          planner.PlannerKind(kind=kind_name), RF, EDGE)
+        assert action.label == "discrete_04" and not action.fallback
+        assert_flies_to_clamped(action, uav, raw, cfg)
+
+
 def test_verify_void_bound():
     cfg = planner.VoidConfig(r_min=50.0, b_min=0.8)
     beliefs = [point_mass(0.0, 0.0)]
-    good = planner.lavapilot_select(beliefs, make_uav(200.0, 0.0), KIN, cfg)
+    good = planner.lavapilot_select(beliefs, make_uav(200.0, 0.0), KIN, cfg, WIDE)
     assert planner.verify_void_bound(good, cfg, beliefs)
     bad_rollout = uav_rollout(make_uav(60.0, 0.0), (0.0, 0.0), KIN, cfg.horizon, 1.0)
     bad = planner.CandidateAction(waypoint=np.zeros(2), rollout=bad_rollout,

@@ -11,6 +11,9 @@ from tagtrack.world import Area, TargetDynamics, UavState, random_walk_displacem
 from oracles import dyadic_weights, posterior_weights_mpmath, weighted_sigma_mpmath
 
 
+WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
+
+
 def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
     return UavState(position=np.array([x, y, z]), heading=heading)
 
@@ -52,7 +55,7 @@ def test_init_belief_deterministic():
 def test_predict_zero_noise_identity():
     b = belief_from([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])
     dyn = TargetDynamics(q_diag=np.zeros(3))
-    out = tracker.predict(b, dyn, np.random.default_rng(0).standard_normal((2, 3)))
+    out = tracker.predict(b, dyn, np.random.default_rng(0).standard_normal((2, 3)), WIDE)
     assert np.array_equal(out.particles, b.particles)
     assert np.array_equal(out.weights, b.weights)
 
@@ -61,7 +64,7 @@ def test_predict_keeps_weights():
     rng = np.random.default_rng(2)
     b = belief_from(rng.uniform(0, 100, size=(64, 2)), dyadic_weights(rng, 64))
     dyn = TargetDynamics(q_diag=np.array([1.0, 1.0, 0.0]))
-    out = tracker.predict(b, dyn, rng.standard_normal((64, 3)))
+    out = tracker.predict(b, dyn, rng.standard_normal((64, 3)), WIDE)
     assert np.array_equal(out.weights, b.weights)
     assert not np.array_equal(out.particles, b.particles)
 
@@ -72,7 +75,8 @@ def test_predict_spread_grows_in_expectation():
                        np.full(200, 1.0 / 200))
     grew = 0
     for seed in range(100):
-        out = tracker.predict(base, dyn, np.random.default_rng(seed).standard_normal((200, 3)))
+        out = tracker.predict(base, dyn, np.random.default_rng(seed).standard_normal((200, 3)),
+                              WIDE)
         if tracker.uncertainty(out) > tracker.uncertainty(base):
             grew += 1
     assert grew > 80  # adding independent jitter almost always widens the spread
@@ -87,17 +91,14 @@ def test_predict_matches_clamped_random_walk_bit_for_bit():
     b = belief_from(pts, np.full(n, 1.0 / n), height=1.5)
     dyn = TargetDynamics(q_diag=np.array([4.0, 0.25, 0.0]))
     area = Area(0.0, 100.0, 0.0, 50.0)
-    for clamp in (None, area):
-        rng_a = np.random.default_rng(8)
-        rng_b = copy.deepcopy(rng_a)
-        out = tracker.predict(b, dyn, rng_a.standard_normal((n, 3)), clamp)
-        want = pts + random_walk_displacements(n, dyn, rng_b)[:, :2]
-        if clamp is not None:
-            want = area.clamp(want)
-        assert out.particles.shape == (n, 2) and out.particles.flags.c_contiguous
-        assert out.particles.tobytes() == want.tobytes()
-        assert out.height == 1.5
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state  # same draws consumed
+    rng_a = np.random.default_rng(8)
+    rng_b = copy.deepcopy(rng_a)
+    out = tracker.predict(b, dyn, rng_a.standard_normal((n, 3)), area)
+    want = area.clamp(pts + random_walk_displacements(n, dyn, rng_b)[:, :2])
+    assert out.particles.shape == (n, 2) and out.particles.flags.c_contiguous
+    assert out.particles.tobytes() == want.tobytes()
+    assert out.height == 1.5
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state  # same draws consumed
     assert np.array_equal(b.particles, pts)  # the input belief is untouched
 
 
@@ -106,7 +107,7 @@ def test_predict_matches_clamped_random_walk_bit_for_bit():
 def test_predict_rejects_wrong_noise_shape(shape):
     b = belief_from(np.zeros((500, 2)), np.full(500, 1.0 / 500))
     with pytest.raises(ValueError, match="noise block"):
-        tracker.predict(b, TargetDynamics(), np.zeros(shape))
+        tracker.predict(b, TargetDynamics(), np.zeros(shape), WIDE)
 
 
 def fresh_summary(b):
