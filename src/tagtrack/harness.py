@@ -76,6 +76,9 @@ class ScenarioConfig:
             raise ConfigError(f"{_KEYS['tag_height']} must be non-negative, got {self.tag_height}")
         if self.max_flight_time < 0.0:
             raise ConfigError(f"{_KEYS['max_flight_time']} must be non-negative")
+        if not math.isfinite(self.max_flight_time / self.void.step_period):
+            raise ConfigError(f"{_KEYS['max_flight_time']} / {_KEYS['void.step_period']} "
+                              "must be a finite step count")
         if self.tag_positions is not None:
             if len(self.tag_positions) != self.num_tags:
                 raise ConfigError("tag_positions length must equal num_tags")
@@ -524,60 +527,33 @@ def audit_mission(record: MissionRecord, cfg: ScenarioConfig) -> None:
 # Monte-Carlo batching
 
 
-@dataclass
-class TrialMetrics:
-    seed: int
-    rms: float
-    flight_time: float
-    planning_time_mean: float
-    n_decisions: int
-    min_nonfallback_void_prob: float | None
-    localized_count: int
-    n_violations: int
-    n_divergences: int
-    poses: np.ndarray  # (n_steps, 2)
-
-
 def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     """Per-trial seeds derived from (seed, trial index); independent of parallelism."""
     children = np.random.SeedSequence(seed).spawn(trials)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def _trial_metrics(cfg: ScenarioConfig) -> TrialMetrics:
+def _trial_metrics(cfg: ScenarioConfig):
+    """One trial: (summary, lowest non-fallback void probability or None, (n_steps, 2)
+    observer track)."""
     record = run_mission(cfg)
-    s = record.summary
     nonfallback = [d.void_prob for d in record.decisions if not d.fallback]
     poses = np.array([[st.uav_x, st.uav_y] for st in record.steps], dtype=float).reshape(-1, 2)
-    return TrialMetrics(
-        seed=cfg.seed,
-        rms=s.rms,
-        flight_time=s.flight_time,
-        planning_time_mean=s.planning_time_stats["mean"],
-        n_decisions=s.n_decisions,
-        min_nonfallback_void_prob=min(nonfallback) if nonfallback else None,
-        localized_count=sum(bool(x) for x in s.localized),
-        n_violations=len(s.violation_events),
-        n_divergences=len(s.divergence_events),
-        poses=poses,
-    )
+    return record.summary, min(nonfallback) if nonfallback else None, poses
 
 
-def heatmap_from_poses(poses: np.ndarray, area: Area, bin_m: float = HEATMAP_BIN_M):
-    """2D visit counts of observer positions on a bin_m grid over the area.
+def heatmap_from_poses(poses: np.ndarray, area: Area):
+    """2D visit counts of observer positions on a HEATMAP_BIN_M grid over the area.
 
     Returns (counts as [ny][nx] lists of ints, x_edges, y_edges).
     """
-    nx = max(1, int(math.ceil((area.x_max - area.x_min) / bin_m)))
-    ny = max(1, int(math.ceil((area.y_max - area.y_min) / bin_m)))
-    x_edges = area.x_min + bin_m * np.arange(nx + 1)
-    y_edges = area.y_min + bin_m * np.arange(ny + 1)
+    nx = max(1, int(math.ceil((area.x_max - area.x_min) / HEATMAP_BIN_M)))
+    ny = max(1, int(math.ceil((area.y_max - area.y_min) / HEATMAP_BIN_M)))
+    x_edges = area.x_min + HEATMAP_BIN_M * np.arange(nx + 1)
+    y_edges = area.y_min + HEATMAP_BIN_M * np.arange(ny + 1)
     x_edges[-1] = max(x_edges[-1], area.x_max)
     y_edges[-1] = max(y_edges[-1], area.y_max)
-    if len(poses):
-        h, _, _ = np.histogram2d(poses[:, 0], poses[:, 1], bins=[x_edges, y_edges])
-    else:
-        h = np.zeros((nx, ny))
+    h, _, _ = np.histogram2d(poses[:, 0], poses[:, 1], bins=[x_edges, y_edges])
     counts = h.T.astype(int)  # rows indexed by y bin
     return [[int(v) for v in row] for row in counts], x_edges, y_edges
 
@@ -631,19 +607,19 @@ def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> Mc
     else:
         results = [_trial_metrics(c) for c in trial_cfgs]
 
+    summaries, void_mins, tracks = zip(*results)
     metrics = {
-        "rms_m": _stats([r.rms for r in results]),
-        "flight_time_s": _stats([r.flight_time for r in results]),
-        "planning_time_mean_s": _stats([r.planning_time_mean for r in results]),
-        "localized_count": _stats([r.localized_count for r in results]),
-        "violation_events": _stats([r.n_violations for r in results]),
-        "divergence_events": _stats([r.n_divergences for r in results]),
-        "n_decisions": _stats([r.n_decisions for r in results]),
+        "rms_m": _stats([s.rms for s in summaries]),
+        "flight_time_s": _stats([s.flight_time for s in summaries]),
+        "planning_time_mean_s": _stats([s.planning_time_stats["mean"] for s in summaries]),
+        "localized_count": _stats([sum(map(bool, s.localized)) for s in summaries]),
+        "violation_events": _stats([len(s.violation_events) for s in summaries]),
+        "divergence_events": _stats([len(s.divergence_events) for s in summaries]),
+        "n_decisions": _stats([s.n_decisions for s in summaries]),
     }
-    all_poses = np.concatenate([r.poses for r in results])
+    all_poses = np.concatenate(tracks)
     counts, x_edges, y_edges = heatmap_from_poses(all_poses, cfg.area)
-    nonfallback = [r.min_nonfallback_void_prob for r in results
-                   if r.min_nonfallback_void_prob is not None]
+    nonfallback = [v for v in void_mins if v is not None]
     return McSummary(
         trials=trials,
         planner_kind=cfg.planner.kind,

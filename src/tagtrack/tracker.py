@@ -52,7 +52,7 @@ class ObjectBelief:
         maximum per-axis weighted standard deviation about the mean (two-pass, so
         tight beliefs keep their digits)."""
         mean = self.weights @ self.particles
-        dev = np.empty_like(self.particles)
+        dev = np.empty(self.particles.shape)
         # per column: an (N, 2) - (2,) broadcast loops two elements at a time
         for axis in range(dev.shape[1]):
             np.subtract(self.particles[:, axis], mean[axis], out=dev[:, axis])

@@ -351,15 +351,39 @@ def test_decisions_only_on_horizon_boundaries():
 
 
 def test_montecarlo_single_trial_matches_mission():
+    """Every non-timing metric of a batch is _stats over its trials' own missions, in
+    trial order, and so are the lowest gated void probability and the pose count."""
     cfg = small_config(max_flight_time=60.0)
-    mc = harness.run_montecarlo(cfg, trials=1)
-    trial_cfg = ScenarioConfig.from_dict(cfg.to_dict())
-    trial_cfg.seed = harness.derive_trial_seeds(cfg.seed, 1)[0]
-    rec = harness.run_mission(trial_cfg)
-    assert mc.trials == 1
-    assert mc.metrics["rms_m"]["mean"] == pytest.approx(rec.summary.rms)
-    assert mc.metrics["flight_time_s"]["mean"] == pytest.approx(rec.summary.flight_time)
-    assert mc.total_poses == len(rec.steps)
+    mc = harness.run_montecarlo(cfg, trials=3)
+    records = []
+    for seed in harness.derive_trial_seeds(cfg.seed, 3):
+        trial_cfg = ScenarioConfig.from_dict(cfg.to_dict())
+        trial_cfg.seed = seed
+        records.append(harness.run_mission(trial_cfg))
+    summaries = [r.summary for r in records]
+    assert mc.trials == 3
+    assert mc.metrics["rms_m"] == harness._stats([s.rms for s in summaries])
+    assert mc.metrics["flight_time_s"] == harness._stats([s.flight_time for s in summaries])
+    assert mc.metrics["localized_count"] == harness._stats(
+        [len([x for x in s.localized if x]) for s in summaries])
+    assert mc.metrics["violation_events"] == harness._stats(
+        [len(s.violation_events) for s in summaries])
+    assert mc.metrics["divergence_events"] == harness._stats(
+        [len(s.divergence_events) for s in summaries])
+    assert mc.metrics["n_decisions"] == harness._stats([len(r.decisions) for r in records])
+    gated = [d.void_prob for r in records for d in r.decisions if not d.fallback]
+    assert gated and mc.min_nonfallback_void_prob == min(gated)
+    assert mc.total_poses == sum(len(r.steps) for r in records)
+
+
+def test_zero_step_montecarlo_has_an_empty_heatmap():
+    area = world.Area(0.0, 305.0, 0.0, 150.0)
+    cfg = small_config(area=area, tag_positions=[(70.0, 120.0), (230.0, 90.0)],
+                       uav_start_xy=(150.0, 75.0), max_flight_time=0.0)
+    mc = harness.run_montecarlo(cfg, trials=2)
+    assert mc.heatmap_counts == [[0] * math.ceil(305.0 / 10)] * math.ceil(150.0 / 10)
+    assert mc.total_poses == 0
+    assert mc.min_nonfallback_void_prob is None
 
 
 def test_montecarlo_parallelism_invariant():

@@ -5,8 +5,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from tagtrack import rf, tracker
-from tagtrack.world import Area, TargetDynamics, UavState, random_walk_displacements
+from tagtrack import planner, rf, tracker
+from tagtrack.world import (Area, TargetDynamics, UavKinematics, UavState,
+                            random_walk_displacements)
 
 from oracles import dyadic_weights, posterior_weights_mpmath, weighted_sigma_mpmath
 
@@ -157,6 +158,22 @@ def test_summaries_follow_every_belief_change():
     check(b)
     b = replace(b, particles=b.particles[::-1].copy())
     check(b)
+
+
+def test_integer_particles_summarize_like_their_float_copy():
+    """A belief built from integer positions gives the same estimate, spread and
+    decision, bit for bit, as the same positions in float64."""
+    pts = np.random.default_rng(3).integers(200, 400, size=(50, 2))
+    weights = np.random.default_rng(4).dirichlet(np.ones(50))
+    as_int = tracker.ObjectBelief(particles=pts, weights=weights, height=1.0, wavelength=2.0)
+    as_float = replace(as_int, particles=pts.astype(float))
+    assert np.array_equal(tracker.estimate(as_int), tracker.estimate(as_float))
+    assert tracker.uncertainty(as_int) == tracker.uncertainty(as_float) > 0.0
+    uav, kin, cfg = make_uav(0.0, 0.0), UavKinematics(), planner.VoidConfig()
+    a = planner.lavapilot_select([as_int], uav, kin, cfg, WIDE)
+    b = planner.lavapilot_select([as_float], uav, kin, cfg, WIDE)
+    assert (a.label, a.void_prob, a.fallback) == (b.label, b.void_prob, b.fallback)
+    assert np.array_equal(a.waypoint, b.waypoint)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(tracker.ObjectBelief)])
