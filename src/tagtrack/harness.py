@@ -85,12 +85,20 @@ class ScenarioConfig:
             for xy in self.tag_positions:
                 if not self.area.contains(xy):
                     raise ConfigError(f"tag position {tuple(xy)} outside the mission area")
+        carriers = [(_KEYS["rf.wavelength"], self.rf.wavelength)]
         if self.tag_frequencies_mhz is not None:
             if len(self.tag_frequencies_mhz) != self.num_tags:
                 raise ConfigError("tag_frequencies_mhz length must equal num_tags")
             for f in self.tag_frequencies_mhz:
                 if not (math.isfinite(f) and f > 0.0):
                     raise ConfigError(f"tag frequencies must be finite and positive, got {f} MHz")
+            carriers = [(f"{_KEYS['tag_frequencies_mhz']}[{i}]", rf_mod.wavelength_from_mhz(f))
+                        for i, f in enumerate(self.tag_frequencies_mhz)]
+        # the two-ray phase lag is at most (2 pi / wavelength) * 2 * tag height
+        for key, lam in carriers:
+            if not (lam > 0.0 and math.isfinite(2.0 * math.pi / lam * 2.0 * self.tag_height)):
+                raise ConfigError(f"{key}: wavelength {lam} m must be positive and give a finite "
+                                  f"two-ray phase at {_KEYS['tag_height']} {self.tag_height}")
         if not self.area.contains(self.uav_start_xy):
             raise ConfigError("uav_start lies outside the mission area")
         if self.belief_init_mode not in ("uniform", "at_truth"):
@@ -382,7 +390,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         return [(float(x), float(y), height) for x, y in tag_xy]
 
     def tag_error(j):
-        return float(np.linalg.norm(tracker_mod.estimate(beliefs[j]) - (*tag_xy[j], height)))
+        return float(np.linalg.norm(tracker_mod.estimate(beliefs[j]) - tag_xy[j]))
 
     truths_initial = truths()
 
@@ -404,7 +412,6 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     violations: list[dict] = []
     divergences: list[dict] = []
     loc_error = [None] * n_tags
-    flight_time = float(cfg.max_flight_time)
 
     # One thread draws each tag's predict noise for the next step while this one runs
     # the rest of the step (the draw releases the GIL). Tag j's next block is asked for
@@ -422,7 +429,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
         beliefs = []
         for j in range(n_tags):
             if cfg.belief_init_mode == "at_truth":
-                b = tracker_mod.init_belief_at((*tag_xy[j], height), cfg.belief_init_sigma,
+                b = tracker_mod.init_belief_at(tag_xy[j], height, cfg.belief_init_sigma,
                                                wavelengths[j], cfg.tracker, filt_rngs[j], area)
             else:
                 b = tracker_mod.init_belief(area, cfg.tag_height, wavelengths[j], cfg.tracker,
@@ -448,9 +455,6 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                     loc_error[j] = tag_error(j)
 
             all_localized = all(b.localized for b in beliefs)
-            if all_localized:
-                flight_time = k * t0_step
-
             plan_time = None
             void_prob = None
             if not all_localized and k % cfg.void.horizon == 0:
@@ -472,13 +476,12 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                                                 void_prob=action.void_prob,
                                                 planning_time=plan_time, bound_ok=bound_ok))
 
-            ests = [tracker_mod.estimate(b) for b in beliefs]
             steps.append(MissionStep(
                 k=k,
                 uav_x=float(uav.position[0]), uav_y=float(uav.position[1]),
                 uav_z=float(uav.position[2]), uav_heading=float(uav.heading),
                 rssi=zs.tolist(),
-                est=[tuple(map(float, e)) for e in ests],
+                est=[(float(x), float(y), height) for x, y in map(tracker_mod.estimate, beliefs)],
                 sigma=[tracker_mod.uncertainty(b) for b in beliefs],
                 localized=[b.localized for b in beliefs],
                 planning_time=plan_time,
@@ -496,7 +499,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
 
     localized = [b.localized for b in beliefs]
     summary = MissionSummary(
-        flight_time=flight_time,
+        flight_time=len(steps) * t0_step,  # the steps flown, up to the capped step count
         all_localized=all(localized),
         localized=localized,
         per_tag_error=loc_error,
@@ -658,9 +661,9 @@ def _bench_snapshot(particles: int, tags: int, seed: int, wavelength: float):
     beliefs = []
     for j, x in enumerate(xs):
         sigma = 20.0 + 4.0 * abs(j - mid)  # the middle object has the lowest spread
-        center = np.array([x, 700.0, 1.0])
         cfg_t = tracker_mod.TrackerConfig(num_particles=particles, sigma_min=35.0)
-        beliefs.append(tracker_mod.init_belief_at(center, sigma, wavelength, cfg_t, rng, area))
+        beliefs.append(tracker_mod.init_belief_at((x, 700.0), 1.0, sigma, wavelength, cfg_t,
+                                                  rng, area))
     uav = UavState(position=np.array([xs[mid], 150.0, 30.0]), heading=math.pi / 2, speed=0.0)
     return beliefs, uav, area
 

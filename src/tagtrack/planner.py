@@ -74,10 +74,6 @@ class CandidateAction:
     fallback: bool = False
 
 
-def _rollout_xy(rollout) -> np.ndarray:
-    return np.array([[p.position[0], p.position[1]] for p in rollout])
-
-
 def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r_min: float) -> np.ndarray:
     """Belief mass inside the void disc of each pose, at a horizontal distance strictly
     below r_min (a particle on the circle is outside); shape (H,).
@@ -100,7 +96,7 @@ def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r
 
 def _void_per_belief(beliefs, rollout, r_min: float):
     """Per belief, the minimum void probability over the rollout poses."""
-    xy = _rollout_xy(rollout)
+    xy = np.array([p.xy for p in rollout])
     px, py = xy[:, 0], xy[:, 1]
     for belief in beliefs:
         yield 1.0 - float(np.max(_mass_inside(belief, px, py, r_min)))
@@ -130,7 +126,7 @@ def candidate_points_abc(uav: UavState, target_estimate, r_min: float) -> list[t
     circle only the radially outward point is returned; at zero range the escape
     direction is the current heading.
     """
-    est = np.asarray(target_estimate, dtype=float).reshape(-1)[:2]
+    est = np.asarray(target_estimate, dtype=float)
     to_uav = uav.xy - est
     dist = float(math.hypot(to_uav[0], to_uav[1]))
     if dist == 0.0:
@@ -200,7 +196,7 @@ def lavapilot_select(
     if not active:
         return None
     x_star = min(active, key=tracker.uncertainty)  # on a tie, the first in the list
-    est_xy = tracker.estimate(x_star)[:2]
+    est_xy = tracker.estimate(x_star)
 
     points = candidate_points_abc(uav, est_xy, cfg.r_min)
     if len(points) == 1:  # on or inside the void circle: only point A
@@ -215,14 +211,19 @@ def lavapilot_select(
     return _finalize(beliefs, *best, cfg)
 
 
+def _prior_and_likelihood(weights: np.ndarray, log_g: np.ndarray):
+    """The normalised weights w and the likelihood g scaled so that its largest finite
+    value is 1. An entry whose log-likelihood is not finite gets g = 0, so when none is
+    finite g is all zeros, which both rewards score as 0."""
+    finite = np.isfinite(log_g)
+    shifted = np.subtract(log_g, np.max(log_g, where=finite, initial=-np.inf),
+                          out=np.full(log_g.shape, -np.inf), where=finite)
+    return weights / weights.sum(), np.exp(shifted)
+
+
 def shannon_reward(weights: np.ndarray, log_g: np.ndarray) -> float:
     """Entropy of the weights before minus after a pseudo-update with likelihood g."""
-    w = weights / weights.sum()
-    finite = np.isfinite(log_g)
-    if not finite.any():
-        return 0.0
-    m = np.max(log_g[finite])
-    g = np.where(finite, np.exp(log_g - m), 0.0)
+    w, g = _prior_and_likelihood(weights, log_g)
     wg = w * g
     total = wg.sum()
     if total <= 0.0:
@@ -243,13 +244,7 @@ def renyi_reward(weights: np.ndarray, log_g: np.ndarray, alpha: float) -> float:
 
     evaluated in log space for numerical stability.
     """
-    w = weights / weights.sum()
-    finite = np.isfinite(log_g)
-    if not finite.any():
-        return 0.0
-    m = np.max(log_g[finite])
-    shifted = np.where(finite, log_g - m, -np.inf)
-    g = np.exp(shifted)
+    w, g = _prior_and_likelihood(weights, log_g)
     num = float(np.sum(w * np.power(g, alpha)))
     den = float(np.sum(w * g))
     if num <= 0.0 or den <= 0.0:
@@ -265,10 +260,9 @@ def _pseudo_update_reward(
 ) -> float:
     """Reward of a predicted ideal (noiseless) measurement taken at the terminal pose,
     from a tag at the belief's estimate, height and carrier wavelength."""
-    est = tracker.estimate(belief)
     try:
-        z_star = float(rf.received_power_array(est[:2], terminal, rf_cfg, est[2],
-                                               belief.wavelength))
+        z_star = float(rf.received_power_array(tracker.estimate(belief), terminal, rf_cfg,
+                                               belief.height, belief.wavelength))
     except ValueError:  # estimate coincides with the pose; no usable prediction
         return 0.0
     log_g = rf.log_likelihood_array(z_star, belief.particles, terminal, rf_cfg, belief.height,

@@ -75,25 +75,26 @@ def init_belief(
 
 
 def init_belief_at(
-    position,
+    xy,
+    tag_height: float,
     sigma: float,
     wavelength: float,
     cfg: TrackerConfig,
     rng: np.random.Generator,
     area: Area,
 ) -> ObjectBelief:
-    """Particles drawn as a tight horizontal Gaussian blob around a known 3D position,
-    clamped to the mission area, at its height, for a tag on the given carrier wavelength.
+    """Particles drawn as a tight horizontal Gaussian blob around a known (x, y) centre,
+    clamped to the mission area, at the tag height, for a tag on the given carrier
+    wavelength.
 
     Used to construct converged beliefs for controlled experiments.
     """
     n = cfg.num_particles
-    center = np.asarray(position, dtype=float).reshape(3)
-    pts = np.tile(center[:2], (n, 1))
+    pts = np.tile(np.asarray(xy, dtype=float), (n, 1))
     pts += rng.normal(scale=sigma, size=(n, 2))
     pts = area.clamp(pts)
     return ObjectBelief(particles=pts, weights=np.full(n, 1.0 / n),
-                        height=float(center[2]), wavelength=float(wavelength))
+                        height=float(tag_height), wavelength=float(wavelength))
 
 
 def predict(
@@ -177,9 +178,9 @@ def resample_if_needed(
 
 
 def estimate(belief: ObjectBelief) -> np.ndarray:
-    """The weighted mean of the particles at the tag height: a fresh (3,) array
-    (mean x, mean y, height)."""
-    return np.append(belief.summary[0], belief.height)
+    """The weighted mean of the particles: a fresh (2,) array (mean x, mean y). The tag
+    height is `belief.height`."""
+    return belief.summary[0].copy()
 
 
 def uncertainty(belief: ObjectBelief) -> float:

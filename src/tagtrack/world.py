@@ -175,9 +175,8 @@ def uav_rollout(
     """
     if horizon_steps < 1:
         raise ValueError("horizon_steps must be >= 1")
-    wp = np.asarray(waypoint, dtype=float).reshape(-1)[:2]
     start = current.position
-    delta = wp - start[:2]
+    delta = np.asarray(waypoint, dtype=float) - start[:2]
     dist = float(math.hypot(delta[0], delta[1]))
     if dist <= 1e-12:
         unit = np.zeros(2)

@@ -161,12 +161,16 @@ def test_config_error_exit_code(tmp_path, capsys):
       "target_dynamics": {"q_diag_m2": [0.0, 0.0, 0.0]}}, "kinematics.altitude_m"),
     ({"seed": -1}, "seed"),
     ({"max_flight_time_s": 1e300, "step_period_s": 1e-10}, "max_flight_time_s / step_period_s"),
+    ({"tag_frequencies_mhz": [150.0, 1e303]}, "tag_frequencies_mhz[1]: wavelength 0.0 m"),
+    ({"rf": {"wavelength_m": 1e-320}}, "rf.wavelength_m: wavelength 1e-320 m"),
+    ({"rf": {"wavelength_m": 1e-320}, "tag_height_m": 0.0}, "rf.wavelength_m"),
 ], ids=["zero_frequency", "negative_frequency", "nan_noise_var", "nan_wavelength",
         "nan_tag_height", "negative_tag_height", "nan_scalar", "nan_list_entry",
         "string_number", "string_bool", "non_integral_int", "bool_as_int", "unknown_nested_key",
         "unknown_top_level_key", "nan_antenna_table", "empty_antenna_table", "sub_config_range",
         "short_q_diag", "string_frequencies",
-        "observer_at_tag_height", "negative_seed", "overflowing_step_count"])
+        "observer_at_tag_height", "negative_seed", "overflowing_step_count",
+        "zero_wavelength_carrier", "subnormal_wavelength", "subnormal_wavelength_on_the_ground"])
 def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2

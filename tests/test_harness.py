@@ -218,6 +218,16 @@ def test_zero_flight_time_gives_empty_record():
     assert not any(rec.summary.localized)
 
 
+@pytest.mark.parametrize("cap, n_steps", [(10.6, 11), (0.4, 0), (2.5, 2)])
+def test_capped_flight_time_is_the_steps_flown(cap, n_steps):
+    # a cap that is not a whole number of steps flies round(cap / step_period) steps
+    cfg = ScenarioConfig(num_tags=2, tracker=tracker.TrackerConfig(num_particles=200),
+                         max_flight_time=cap, seed=3)
+    s = harness.run_mission(cfg).summary
+    assert not s.all_localized and s.n_steps == n_steps
+    assert s.flight_time == n_steps * cfg.void.step_period
+
+
 def test_mission_deterministic_given_seed():
     cfg = small_config()
     a = harness.run_mission(cfg)
@@ -246,7 +256,7 @@ def test_mission_filter_matches_sequential_replay():
             out = tracker.resample_if_needed(b, cfg.tracker, rng)
             resampled += out is not b
             b = tracker.mark_localized(out, cfg.tracker)
-            assert tuple(map(float, tracker.estimate(b))) == s.est[j]
+            assert (*map(float, tracker.estimate(b)), b.height) == s.est[j]
             assert tracker.uncertainty(b) == s.sigma[j]
             assert b.localized == s.localized[j]
     assert resampled > 0  # the resampling offsets share each generator with the noise
@@ -331,12 +341,13 @@ def test_mission_poses_and_rows_consistent():
     for s in rec.steps:
         assert cfg.area.contains((s.uav_x, s.uav_y))
         assert s.uav_z == cfg.kinematics.altitude
-    # flight time: first step at which every tag is localized, else the budget
+    # flight time: first step at which every tag is localized, else the capped steps
     full = [s.k for s in rec.steps if all(s.localized)]
     if full:
         assert rec.summary.flight_time == full[0] * cfg.void.step_period
     else:
-        assert rec.summary.flight_time == cfg.max_flight_time
+        assert rec.summary.flight_time == len(rec.steps) * cfg.void.step_period
+        assert len(rec.steps) == round(cfg.max_flight_time / cfg.void.step_period)
 
 
 def test_decisions_only_on_horizon_boundaries():

@@ -172,6 +172,12 @@ def test_candidate_points_boundary_cases():
     np.testing.assert_allclose(pts[0][1], [0.0, 50.0], atol=1e-9)
 
 
+def test_candidate_points_take_an_xy_estimate():
+    # a position is (x, y); a 3-component estimate is an error, not silently cut
+    with pytest.raises(ValueError):
+        planner.candidate_points_abc(make_uav(100.0, 0.0), (0.0, 0.0, 1.0), 50.0)
+
+
 def test_lavapilot_all_localized_returns_none():
     b = replace(point_mass(0.0, 0.0), localized=True)
     cfg = planner.VoidConfig()
@@ -335,8 +341,7 @@ def test_pseudo_update_reward_uses_the_belief_carrier():
     b = replace(blob(np.random.default_rng(5), 300.0, 200.0, 30.0), wavelength=lam)
     terminal = make_uav(120.0, 80.0, heading=0.6)
     own = replace(RF, wavelength=lam)
-    est = tracker.estimate(b)
-    z_star = float(rf.received_power_array(est[:2], terminal, own, est[2]))
+    z_star = float(rf.received_power_array(tracker.estimate(b), terminal, own, b.height))
     log_g = rf.log_likelihood_array(z_star, b.particles, terminal, own, b.height)
     renyi, shannon = planner.PlannerKind(kind="renyi"), planner.PlannerKind(kind="shannon")
     want = planner.renyi_reward(b.weights, log_g, renyi.alpha)
@@ -366,6 +371,15 @@ def test_renyi_reward_hand_case():
     got = planner.renyi_reward(w, log_g, alpha=0.5)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.10536, abs=1e-5)
+
+
+def test_rewards_give_a_non_finite_log_likelihood_zero_weight():
+    w = np.array([0.25, 0.25, 0.5])
+    for reward in (planner.shannon_reward, lambda w, g: planner.renyi_reward(w, g, 0.5)):
+        got = {reward(w, np.array([math.log(0.8), math.log(0.2), x]))
+               for x in (-np.inf, np.inf, np.nan)}
+        assert len(got) == 1 and got.pop() > 0.0  # bit-identical: g = exp(-inf) = 0
+        assert reward(w, np.array([-np.inf, np.nan, np.inf])) == 0.0
 
 
 def test_info_gain_uniform_likelihood_breaks_ties_to_first_candidate():

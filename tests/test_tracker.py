@@ -53,6 +53,17 @@ def test_init_belief_deterministic():
     assert np.array_equal(a.particles, b.particles)
 
 
+def test_init_belief_at_draws_a_clamped_blob_around_xy():
+    area = Area(0.0, 100.0, 0.0, 100.0)
+    cfg = tracker.TrackerConfig(num_particles=64)
+    b = tracker.init_belief_at((98.0, 40.0), 1.5, 3.0, 2.0, cfg, np.random.default_rng(9), area)
+    noise = np.random.default_rng(9).normal(scale=3.0, size=(64, 2))
+    assert np.array_equal(b.particles, area.clamp(np.array([98.0, 40.0]) + noise))
+    assert (b.particles[:, 0] == 100.0).any()  # the clamp was needed
+    assert (b.height, b.wavelength) == (1.5, 2.0)
+    assert np.array_equal(b.weights, np.full(64, 1.0 / 64))
+
+
 def test_predict_zero_noise_identity():
     b = belief_from([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])
     dyn = TargetDynamics(q_diag=np.zeros(3))
@@ -130,8 +141,8 @@ def test_summaries_follow_every_belief_change():
     def check(b):
         mean, sigma = fresh_summary(b)
         for _ in range(2):  # the second round reads the kept values
-            np.testing.assert_allclose(tracker.estimate(b)[:2], mean, rtol=1e-12)
-            assert tracker.estimate(b)[2] == b.height
+            np.testing.assert_allclose(tracker.estimate(b), mean, rtol=1e-12)
+            assert tracker.estimate(b).shape == (2,) and b.height == 1.0
             assert tracker.uncertainty(b) == pytest.approx(sigma, rel=1e-12)
 
     b = tracker.init_belief(area, 1.0, 2.0, cfg, rng)
@@ -263,11 +274,11 @@ def test_systematic_resample_copy_counts():
 def test_estimate_trivials():
     b = belief_from([[5.0, 6.0]], [1.0])
     est = tracker.estimate(b)
-    assert est.shape == (3,)
-    assert np.array_equal(est, np.array([5.0, 6.0, 1.0]))
+    assert est.shape == (2,)
+    assert np.array_equal(est, np.array([5.0, 6.0])) and b.height == 1.0
 
     b = belief_from([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5], height=0.0)
-    assert np.array_equal(tracker.estimate(b), np.array([1.0, 0.0, 0.0]))
+    assert np.array_equal(tracker.estimate(b), np.array([1.0, 0.0])) and b.height == 0.0
 
     b = belief_from([[0.0, 0], [4.0, 0]], [0.25, 0.75])
     assert tracker.estimate(b)[0] == pytest.approx(3.0, abs=1e-15)

@@ -112,6 +112,12 @@ def test_rollout_deterministic():
         assert pa.speed == pb.speed and pa.heading == pb.heading
 
 
+def test_rollout_takes_an_xy_waypoint():
+    # a waypoint is (x, y); a 3-component point is an error, not silently cut
+    with pytest.raises(ValueError):
+        uav_rollout(make_uav(), (10.0, 10.0, 30.0), KIN, 5, 1.0)
+
+
 def test_rollout_heading_points_along_travel():
     uav = make_uav()
     poses = uav_rollout(uav, (10.0, 10.0), KIN, 5, 1.0)
