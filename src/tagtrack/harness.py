@@ -89,9 +89,10 @@ class ScenarioConfig:
         if self.tag_frequencies_mhz is not None:
             if len(self.tag_frequencies_mhz) != self.num_tags:
                 raise ConfigError("tag_frequencies_mhz length must equal num_tags")
-            for f in self.tag_frequencies_mhz:
+            for i, f in enumerate(self.tag_frequencies_mhz):
                 if not (math.isfinite(f) and f > 0.0):
-                    raise ConfigError(f"tag frequencies must be finite and positive, got {f} MHz")
+                    raise ConfigError(f"{_KEYS['tag_frequencies_mhz']}[{i}] must be finite and "
+                                      f"positive, got {f} MHz")
             carriers = [(f"{_KEYS['tag_frequencies_mhz']}[{i}]", rf_mod.wavelength_from_mhz(f))
                         for i, f in enumerate(self.tag_frequencies_mhz)]
         # the two-ray phase lag is at most (2 pi / wavelength) * 2 * tag height
@@ -405,7 +406,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
 
     uav = UavState(position=np.array([cfg.uav_start_xy[0], cfg.uav_start_xy[1], kin.altitude]),
                    heading=cfg.uav_start_heading, speed=0.0)
-    pending: list[UavState] = []
+    pending = iter(())
 
     steps: list[MissionStep] = []
     decisions: list[DecisionRecord] = []
@@ -439,8 +440,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
 
         for k in range(1, n_steps + 1):
             tag_xy = target_step(tag_xy, cfg.target_dynamics, dyn_rngs, area)
-            if pending:
-                uav = pending.pop(0)
+            uav = next(pending, uav)
 
             zs = rf_mod.sample_measurement(tag_xy, height, uav, cfg.rf, meas_rngs, wavelengths)
             for j in range(n_tags):
@@ -462,7 +462,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                 action = planner_mod.select_action(beliefs, uav, kin, planner_void,
                                                    cfg.planner, cfg.rf, area)
                 plan_time = time.perf_counter() - t_start
-                pending = list(action.rollout)
+                pending = iter(action.rollout)
                 void_prob = action.void_prob
                 bound_ok = None
                 if cfg.planner.void_enabled:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rf, tracker
-from .world import Area, UavKinematics, UavState, uav_rollout
+from .world import Area, Rollout, UavKinematics, UavState, uav_rollout
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,14 @@ class PlannerKind:
 
 @dataclass
 class CandidateAction:
-    """A waypoint in the mission area with its rollout and trajectory void probability.
+    """A waypoint in the mission area, the Rollout flown to it and its void probability.
 
     `fallback` marks actions exempted from the void gate (stay-in-place when no
     candidate qualifies, or the radial escape when starting inside a void disc).
     """
 
     waypoint: np.ndarray
-    rollout: list[UavState]
+    rollout: Rollout
     void_prob: float
     label: str
     fallback: bool = False
@@ -94,22 +94,21 @@ def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r
     return belief.weights[near] @ inside
 
 
-def _void_per_belief(beliefs, rollout, r_min: float):
-    """Per belief, the minimum void probability over the rollout poses."""
-    xy = np.array([p.xy for p in rollout])
+def _void_per_belief(beliefs, xy: np.ndarray, r_min: float):
+    """Per belief, the minimum void probability over the (H, 2) positions `xy`."""
     px, py = xy[:, 0], xy[:, 1]
     for belief in beliefs:
         yield 1.0 - float(np.max(_mass_inside(belief, px, py, r_min)))
 
 
-def trajectory_void_probability(beliefs, rollout, r_min: float) -> float:
-    """Minimum void probability over all (object, rollout pose) pairs."""
-    return min(_void_per_belief(beliefs, rollout, r_min), default=1.0)
+def trajectory_void_probability(beliefs, xy: np.ndarray, r_min: float) -> float:
+    """Minimum void probability over all (object, position) pairs, `xy` of shape (H, 2)."""
+    return min(_void_per_belief(beliefs, xy, r_min), default=1.0)
 
 
-def _void_ok(beliefs, rollout, r_min: float, b_min: float) -> bool:
+def _void_ok(beliefs, xy: np.ndarray, r_min: float, b_min: float) -> bool:
     """Gate check with early exit per belief; decision-equivalent to the exact min."""
-    return not any(vp < b_min for vp in _void_per_belief(beliefs, rollout, r_min))
+    return not any(vp < b_min for vp in _void_per_belief(beliefs, xy, r_min))
 
 
 def _rotate(vec: np.ndarray, angle: float) -> np.ndarray:
@@ -157,12 +156,12 @@ def _gated(beliefs, uav: UavState, kin: UavKinematics, cfg: VoidConfig, area: Ar
     for label, wp in candidates:
         wp = area.clamp(wp)
         rollout = uav_rollout(uav, wp, kin, cfg.horizon, cfg.step_period)
-        if _void_ok(beliefs, rollout, cfg.r_min, cfg.b_min):
+        if _void_ok(beliefs, rollout.xy, cfg.r_min, cfg.b_min):
             yield label, wp, rollout
 
 
 def _finalize(beliefs, label: str, wp, rollout, cfg: VoidConfig, fallback: bool = False) -> CandidateAction:
-    vp = trajectory_void_probability(beliefs, rollout, cfg.r_min)
+    vp = trajectory_void_probability(beliefs, rollout.xy, cfg.r_min)
     return CandidateAction(waypoint=np.asarray(wp, dtype=float), rollout=rollout,
                            void_prob=vp, label=label, fallback=fallback)
 
@@ -321,4 +320,4 @@ def select_action(
 def verify_void_bound(action: CandidateAction, cfg: VoidConfig, beliefs) -> bool:
     """Safe-distance audit: the selected trajectory keeps the void probability, recomputed
     from the beliefs, at or above the configured bound."""
-    return trajectory_void_probability(beliefs, action.rollout, cfg.r_min) >= cfg.b_min
+    return trajectory_void_probability(beliefs, action.rollout.xy, cfg.r_min) >= cfg.b_min

@@ -71,6 +71,28 @@ class UavState:
         return self.position[:2]
 
 
+@dataclass(frozen=True, eq=False)  # array fields: equality is identity
+class Rollout:
+    """H observer poses sampled every step period along one straight flight.
+
+    `xy` holds the (H, 2) positions and `speed` the (H,) speeds, both read-only; every
+    pose shares `altitude` and `heading`. `rollout[i]` is pose i as a UavState.
+    """
+
+    xy: np.ndarray
+    speed: np.ndarray
+    altitude: float
+    heading: float
+
+    def __len__(self) -> int:
+        return len(self.speed)
+
+    def __getitem__(self, i) -> UavState:
+        x, y = self.xy[i]
+        return UavState(position=np.array([x, y, self.altitude]), heading=self.heading,
+                        speed=float(self.speed[i]))
+
+
 @dataclass(frozen=True)
 class UavKinematics:
     """Waypoint-following motion limits for the observer."""
@@ -165,13 +187,13 @@ def uav_rollout(
     kin: UavKinematics,
     horizon_steps: int,
     step_period: float,
-) -> list[UavState]:
-    """Emulate flying toward a 2D waypoint, returning poses sampled every step_period.
+) -> Rollout:
+    """Emulate flying toward a 2D waypoint: the Rollout of poses sampled every step_period.
 
     The path is the straight segment to the waypoint with a trapezoidal speed profile
-    starting from the current speed. Heading points along the travel direction; the
-    final pose never overshoots the waypoint. Kinematics only: the caller keeps the
-    waypoint inside the mission area, and the straight path then stays inside it too.
+    starting from the current speed, at the current altitude, heading along the travel
+    direction; the final pose never overshoots the waypoint. Kinematics only: the caller
+    keeps the waypoint inside the mission area, and the straight path then stays inside it.
     """
     if horizon_steps < 1:
         raise ValueError("horizon_steps must be >= 1")
@@ -185,11 +207,9 @@ def uav_rollout(
     else:
         unit = delta / dist
         heading = wrap_heading(math.atan2(delta[1], delta[0]))
-    samples = _trapezoid_samples(
+    samples = np.array(_trapezoid_samples(
         dist, float(current.speed), kin.v_max, kin.accel, int(horizon_steps), float(step_period),
-    )
-    poses = []
-    for s, v in samples:
-        xy = start[:2] + unit * s
-        poses.append(UavState(position=np.array([xy[0], xy[1], start[2]]), heading=heading, speed=v))
-    return poses
+    ))
+    xy = start[:2] + unit * samples[:, :1]
+    samples.flags.writeable = xy.flags.writeable = False
+    return Rollout(xy=xy, speed=samples[:, 1], altitude=float(start[2]), heading=heading)

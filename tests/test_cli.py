@@ -137,8 +137,8 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, field", [
-    ({"tag_frequencies_mhz": [150.0, 0.0]}, "tag frequencies"),
-    ({"tag_frequencies_mhz": [150.0, -150.0]}, "tag frequencies"),
+    ({"tag_frequencies_mhz": [150.0, 0.0]}, "tag_frequencies_mhz[1]"),
+    ({"tag_frequencies_mhz": [150.0, -150.0]}, "tag_frequencies_mhz[1]"),
     ({"rf": {"noise_var_db2": float("nan")}}, "noise_var"),
     ({"rf": {"wavelength_m": float("nan")}}, "wavelength"),
     ({"tag_height_m": float("nan")}, "tag_height_m"),

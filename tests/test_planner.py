@@ -30,24 +30,24 @@ def blob(rng, x, y, sigma, n=200):
                                 height=1.0, wavelength=RF.wavelength)
 
 
-def void_probability(belief, pose, r_min):
-    """The void probability of one pose under one belief."""
-    return planner.trajectory_void_probability([belief], [pose], r_min)
+def void_probability(belief, xy, r_min):
+    """The void probability of one position under one belief."""
+    return planner.trajectory_void_probability([belief], np.array([xy], dtype=float), r_min)
 
 
 def test_void_disc_is_open():
     # a one-particle belief inside the disc has void probability 0, one outside has 1
     r_min = 50.0
     at_origin = point_mass(0.0, 0.0, n=1)
-    assert void_probability(at_origin, make_uav(49.0, 0.0), r_min) == 0.0
+    assert void_probability(at_origin, (49.0, 0.0), r_min) == 0.0
     # exactly r_min: strict inequality, not in the void
-    assert void_probability(at_origin, make_uav(50.0, 0.0), r_min) == 1.0
+    assert void_probability(at_origin, (50.0, 0.0), r_min) == 1.0
     # directly under the observer
-    assert void_probability(at_origin, make_uav(0.0, 0.0), 1e-6) == 0.0
+    assert void_probability(at_origin, (0.0, 0.0), 1e-6) == 0.0
 
 
 def test_void_probability_trivials():
-    pose = make_uav(0.0, 0.0)
+    pose = (0.0, 0.0)
     far = point_mass(200.0, 0.0)
     assert void_probability(far, pose, 50.0) == 1.0
     near = point_mass(10.0, 0.0)
@@ -63,7 +63,7 @@ def test_void_probability_permutation_invariant():
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(-100, 100, 16), rng.uniform(-100, 100, 16)])
     w = dyadic_weights(rng, 16)
-    pose = make_uav(5.0, -3.0)
+    pose = (5.0, -3.0)
     base = void_probability(
         tracker.ObjectBelief(pts, w, 1.0, RF.wavelength), pose, 60.0)
     for _ in range(10):
@@ -78,10 +78,10 @@ def test_trajectory_void_singleton_reduction():
     # (dyadic weights, so the brute-force sum is exact)
     rng = np.random.default_rng(1)
     b = dyadic_blob(rng, 80.0, 20.0, 30.0)
-    pose = make_uav(10.0, 10.0)
-    want = void_probability_brute(b.particles, b.weights, pose.xy, 50.0)
+    xy = np.array([[10.0, 10.0]])
+    want = void_probability_brute(b.particles, b.weights, xy[0], 50.0)
     assert 0.0 < want < 1.0
-    assert planner.trajectory_void_probability([b], [pose], 50.0) == want
+    assert planner.trajectory_void_probability([b], xy, 50.0) == want
 
 
 def dyadic_blob(rng, x, y, sigma, n=200):
@@ -93,12 +93,12 @@ def dyadic_blob(rng, x, y, sigma, n=200):
 def test_trajectory_void_monotone_under_extension():
     rng = np.random.default_rng(2)
     beliefs = [dyadic_blob(rng, 50.0, 50.0, 20.0), dyadic_blob(rng, 150.0, 80.0, 25.0)]
-    poses = [make_uav(40.0 + 10 * i, 30.0) for i in range(6)]
-    base = planner.trajectory_void_probability(beliefs, poses[:3], 50.0)
-    more_poses = planner.trajectory_void_probability(beliefs, poses, 50.0)
+    xy = np.array([[40.0 + 10 * i, 30.0] for i in range(6)])
+    base = planner.trajectory_void_probability(beliefs, xy[:3], 50.0)
+    more_poses = planner.trajectory_void_probability(beliefs, xy, 50.0)
     assert more_poses <= base
     more_beliefs = planner.trajectory_void_probability(
-        beliefs + [dyadic_blob(rng, 60.0, 40.0, 15.0)], poses[:3], 50.0)
+        beliefs + [dyadic_blob(rng, 60.0, 40.0, 15.0)], xy[:3], 50.0)
     assert more_beliefs <= base
 
 
@@ -115,11 +115,10 @@ def test_trajectory_void_equals_brute_force():
             beliefs.append(tracker.ObjectBelief(pts, w, 1.0, RF.wavelength))
             arrays.append((pts, w))
         n_poses = int(rng.integers(1, 12))
-        poses = [make_uav(float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100)))
-                 for _ in range(n_poses)]
+        xy = np.array([[rng.uniform(-100, 100), rng.uniform(-100, 100)] for _ in range(n_poses)])
         r_min = float(rng.uniform(5.0, 80.0))
-        got = planner.trajectory_void_probability(beliefs, poses, r_min)
-        want = trajectory_void_brute(arrays, [p.xy for p in poses], r_min)
+        got = planner.trajectory_void_probability(beliefs, xy, r_min)
+        want = trajectory_void_brute(arrays, xy, r_min)
         assert got == want  # exact: dyadic weights, 0/1 indicators
 
 
@@ -219,7 +218,7 @@ def test_lavapilot_blocked_falls_through_to_discrete():
         theta = 2.0 * math.pi * i / cfg.action_count
         wp = uav.xy + reach * np.array([math.cos(theta), math.sin(theta)])
         rollout = uav_rollout(uav, wp, KIN, cfg.horizon, cfg.step_period)
-        vp = trajectory_void_brute(arrays, [p.xy for p in rollout], cfg.r_min)
+        vp = trajectory_void_brute(arrays, rollout.xy, cfg.r_min)
         if vp < cfg.b_min:
             continue
         d = math.hypot(*wp)
@@ -459,7 +458,7 @@ def test_verify_void_bound():
     bad_rollout = uav_rollout(make_uav(60.0, 0.0), (0.0, 0.0), KIN, cfg.horizon, 1.0)
     bad = planner.CandidateAction(waypoint=np.zeros(2), rollout=bad_rollout,
                                   void_prob=planner.trajectory_void_probability(
-                                      beliefs, bad_rollout, cfg.r_min),
+                                      beliefs, bad_rollout.xy, cfg.r_min),
                                   label="discrete_06")
     assert not planner.verify_void_bound(bad, cfg, beliefs)
 

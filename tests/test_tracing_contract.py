@@ -1,7 +1,8 @@
 """The library surface the benchmark's traced run reads (`perfbench/spans.py` and
 `perfbench/core.py`): every wrapped function exists, the rollout cache and the
-likelihood counter are there, the per-layer flags come back as bools, and the
-target walk and the measurements take one call each per step."""
+likelihood counter are there, the per-layer flags come back as bools, the target
+walk and the measurements take one call each per step, and the planner's rollouts
+and gate checks are recorded."""
 
 import importlib
 from pathlib import Path
@@ -48,3 +49,8 @@ def test_traced_run_finds_every_layer(tmp_path, perfbench):
     # the resample flag is `out is not belief`: a step that keeps its particles
     # must hand back the very same belief
     assert 0 < sum(flags["tracker.resample"]) < len(flags["tracker.resample"])
+    # the planner flies and gates its candidates through the wrapped module
+    # attributes: each gate call checks one rollout, and a fallback flies one more
+    gates = names.count("planner.gate")
+    fallbacks = sum(s[4] is True for s in recorder.spans if s[0] == "planner.decide")
+    assert gates > 0 and names.count("world.rollout") >= gates + fallbacks

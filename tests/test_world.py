@@ -125,6 +125,35 @@ def test_rollout_heading_points_along_travel():
         assert abs(p.heading - math.pi / 4) < 1e-12
 
 
+def test_rollout_poses_read_its_arrays():
+    rollout = uav_rollout(make_uav(3.0, -2.0, speed=1.25), (40.0, 25.0), KIN, 11, 1.0)
+    assert rollout.xy.shape == (11, 2) and rollout.speed.shape == (11,)
+    assert rollout.altitude == 30.0
+    poses = list(rollout)
+    assert len(poses) == len(rollout) == 11
+    for i, pose in enumerate(poses):
+        want = np.array([*rollout.xy[i], rollout.altitude])
+        assert pose.position.tobytes() == want.tobytes()
+        assert pose.speed == rollout.speed[i] and pose.heading == rollout.heading
+    terminal = rollout[-1]
+    assert terminal.position.tobytes() == poses[-1].position.tobytes()
+    assert terminal.speed == poses[-1].speed
+
+
+def test_rollout_shares_no_mutable_state():
+    # the speed profile comes from a cache: a caller's write must not reach the next call
+    uav = make_uav(speed=0.5)
+    first = uav_rollout(uav, (60.0, -10.0), KIN, 11, 1.0)
+    want_xy, want_speed = first.xy.copy(), first.speed.copy()
+    for arr in (first.xy, first.speed):
+        try:
+            arr[...] = -1.0
+        except ValueError:  # a read-only array refuses the write
+            pass
+    second = uav_rollout(uav, (60.0, -10.0), KIN, 11, 1.0)
+    assert np.array_equal(second.xy, want_xy) and np.array_equal(second.speed, want_speed)
+
+
 def test_target_step_zero_noise_identity():
     dyn = TargetDynamics(q_diag=np.zeros(3))
     xy = np.array([[10.0, 20.0], [-5.0, 7.5]])
