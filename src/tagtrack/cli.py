@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import harness
 from .harness import ConfigError, ScenarioConfig, VoidAuditError
@@ -56,15 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> ScenarioConfig:
-    cfg = harness.load_config(args.config) if args.config else ScenarioConfig()
-    if args.planner is not None:
-        cfg.planner = replace(cfg.planner, kind=args.planner)
-    if args.void is not None:
-        cfg.planner = replace(cfg.planner, void_enabled=args.void == "on")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    return cfg
+    """The file as checked (or the defaults), then each flag set as the JSON key it stands for."""
+    d = (harness.load_config(args.config) if args.config else ScenarioConfig()).to_dict()
+    void = None if args.void is None else args.void == "on"
+    for section, key, flag in ((d["planner"], "kind", args.planner),
+                               (d["planner"], "void_enabled", void), (d, "seed", args.seed)):
+        if flag is not None:
+            section[key] = flag
+    return ScenarioConfig.from_dict(d)
 
 
 def _cmd_simulate(args) -> int:

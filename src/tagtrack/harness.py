@@ -34,18 +34,18 @@ class VoidAuditError(RuntimeError):
 # configuration
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a mission needs; serializable to/from the JSON config schema.
 
-    Slotted, so assigning to a name that is not a field raises AttributeError.
+    Immutable and checked where it is made: a bad value is a ConfigError at construction.
     """
 
     area: Area = field(default_factory=Area)
     num_tags: int = 10
-    tag_positions: list | None = None  # [(x, y), ...] or None for random
+    tag_positions: tuple | None = None  # ((x, y), ...) or None for random
     tag_height: float = 1.0
-    tag_frequencies_mhz: list | None = None  # per-tag carrier; None -> rf.wavelength for all
+    tag_frequencies_mhz: tuple | None = None  # per-tag carrier; None -> rf.wavelength for all
     uav_start_xy: tuple | None = None  # None -> area center
     uav_start_heading: float = 0.0
     max_flight_time: float = 3000.0
@@ -62,7 +62,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.uav_start_xy is None:
-            self.uav_start_xy = (float(self.area.center[0]), float(self.area.center[1]))
+            object.__setattr__(self, "uav_start_xy", tuple(map(float, self.area.center)))
+        if self.tag_positions is not None:  # tuples: no in-place edit skips validate()
+            object.__setattr__(self, "tag_positions", tuple(map(tuple, self.tag_positions)))
+        if self.tag_frequencies_mhz is not None:
+            object.__setattr__(self, "tag_frequencies_mhz", tuple(self.tag_frequencies_mhz))
+        self.validate()
 
     def validate(self):
         if self.num_tags < 1:
@@ -128,9 +133,9 @@ class ScenarioConfig:
                 except ValueError as exc:  # a dataclass range check
                     key = _rejected_key(getattr(base, name), name, value)
                     raise ConfigError(f"invalid configuration: {key}: {exc}") from exc
-        cfg = cls(**fields)
-        cfg.uav_start_xy = tuple(start.get(str(i), v) for i, v in enumerate(cfg.uav_start_xy))
-        return cfg
+        centre = fields.get("area", base.area).center  # where a coordinate left out stays
+        fields["uav_start_xy"] = tuple(start.get(str(i), float(c)) for i, c in enumerate(centre))
+        return cls(**fields)
 
 
 # The JSON config schema. Each key names the ScenarioConfig attribute it sets, as
@@ -366,7 +371,6 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     """Run one mission: step targets, fly the current rollout, measure every tag,
     filter, and replan every horizon steps until all tags localize or time runs out.
     """
-    cfg.validate()
     t0_step = cfg.void.step_period
     n_steps = int(round(cfg.max_flight_time / t0_step))
     n_tags = cfg.num_tags
@@ -381,10 +385,8 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     filt_rngs = [np.random.default_rng(s) for s in filt_ss.spawn(n_tags)]
 
     # the true tags: (T, 2) horizontal positions, all at the one tag height
-    if cfg.tag_positions is not None:
-        tag_xy = np.asarray(cfg.tag_positions, dtype=float)
-    else:
-        tag_xy = area.sample(scen_rng, n_tags)
+    tag_xy = (area.sample(scen_rng, n_tags) if cfg.tag_positions is None
+              else np.asarray(cfg.tag_positions, dtype=float))
     height = float(cfg.tag_height)
 
     def truths():
@@ -601,7 +603,6 @@ def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> Mc
         raise ConfigError("trials must be >= 1")
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    cfg.validate()
     trial_cfgs = [replace(cfg, seed=s) for s in derive_trial_seeds(cfg.seed, trials)]
     workers = min(parallelism, trials)  # the pool forks every worker up front
     if workers > 1:

@@ -109,17 +109,18 @@ class UavKinematics:
             raise ValueError("altitude must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetDynamics:
     """Gaussian random-walk displacement per step; z-axis variance must be zero."""
 
     q_diag: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
 
     def __post_init__(self):
-        q_diag = np.asarray(self.q_diag, dtype=float)
+        q_diag = np.array(np.ravel(self.q_diag), dtype=float)  # its own copy, made read-only
         if q_diag.size != 3:
             raise ValueError(f"q_diag must hold 3 variances (x, y, z), got {q_diag.size}")
-        self.q_diag = q_diag.reshape(3)
+        q_diag.flags.writeable = False
+        object.__setattr__(self, "q_diag", q_diag)
         if not np.all((self.q_diag >= 0.0) & (self.q_diag < math.inf)):
             raise ValueError("process noise variances must be non-negative and finite")
         if self.q_diag[2] != 0.0:

@@ -6,7 +6,9 @@ constants used here are scenario configuration, not library defaults.
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,10 +56,11 @@ def _void_soundness_config(seed, void_on):
 
 
 def _run_void_batch(void_on):
-    records = []
-    for seed in harness.derive_trial_seeds(MASTER_SEED, 20):
-        records.append(harness.run_mission(_void_soundness_config(seed, void_on)))
-    return records
+    """The 20 missions in seed order, run in MC_WORKERS processes."""
+    configs = [_void_soundness_config(seed, void_on)
+               for seed in harness.derive_trial_seeds(MASTER_SEED, 20)]
+    with ProcessPoolExecutor(MC_WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(harness.run_mission, configs))
 
 
 @pytest.fixture(scope="module")

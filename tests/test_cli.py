@@ -179,6 +179,20 @@ def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "o").exists()
 
 
+def test_flags_go_through_the_loader(tmp_path, capsys):
+    # a flag is checked with the file's other values: renyi rejects the file's alpha
+    config = write_config(tmp_path, planner={"kind": "lavapilot", "alpha": 1.0})
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", "--config", config, "--planner", "renyi", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "planner" in err
+    # the file is checked as written, before a flag could mend it
+    config = write_config(tmp_path, seed=-1)
+    assert cli.main(["simulate", "--config", config, "--seed", "3", "--out", out]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_void_audit_exit_code(tmp_path, capsys, monkeypatch):
     from tagtrack import harness
 

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,9 @@ def json_leaves(d, prefix=""):
 def test_config_round_trip():
     cfg = small_config(tag_frequencies_mhz=[150.2, 151.7],
                        filter_dynamics=world.TargetDynamics(q_diag=np.array([0.5, 0.5, 0.0])))
+    # the per-tag lists are held as tuples, so no in-place edit skips the checks
+    assert cfg.tag_positions == ((70.0, 220.0), (230.0, 90.0))
+    assert cfg.tag_frequencies_mhz == (150.2, 151.7)
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
 
@@ -126,16 +130,19 @@ def test_readme_config_block_matches_defaults():
 
 
 def test_config_validation_errors():
+    # a config is checked where it is made: constructing a bad one raises
     with pytest.raises(harness.ConfigError):
-        small_config(num_tags=0).validate()
+        small_config(num_tags=0)
     with pytest.raises(harness.ConfigError):
-        small_config(tag_positions=[(1e6, 1e6), (2.0, 2.0)]).validate()
+        small_config(tag_positions=[(1e6, 1e6), (2.0, 2.0)])
     with pytest.raises(harness.ConfigError):
-        small_config(uav_start_xy=(-5.0, 10.0)).validate()
+        small_config(uav_start_xy=(-5.0, 10.0))
     with pytest.raises(harness.ConfigError):
-        small_config(tag_frequencies_mhz=[150.0]).validate()
+        small_config(tag_frequencies_mhz=[150.0])
     with pytest.raises(harness.ConfigError):
-        small_config(max_flight_time=-1.0).validate()
+        small_config(max_flight_time=-1.0)
+    with pytest.raises(harness.ConfigError, match="seed"):
+        replace(small_config(), seed=-1)
     with pytest.raises(harness.ConfigError):
         ScenarioConfig.from_dict({"rf": {"path_loss_n": 9.0}})
     with pytest.raises(harness.ConfigError):
@@ -187,12 +194,13 @@ def test_nan_fails_range_checks(build, error):
         build()
 
 
-@pytest.mark.parametrize("name, value", [("num_tag", 5), ("step_period", 2.0)])
+@pytest.mark.parametrize("name, value", [("num_tag", 5), ("step_period", 2.0), ("num_tags", 3)])
 def test_unknown_config_attribute_raises(name, value):
+    # a misspelt name raises, and so does a field: a config is immutable
     cfg = ScenarioConfig(num_tags=2, max_flight_time=10.0, seed=3)
     with pytest.raises(AttributeError):
         setattr(cfg, name, value)
-    cfg.num_tags = 3  # a field still takes a new value
+    assert cfg.num_tags == 2
     assert pickle.loads(pickle.dumps(cfg)).to_dict() == cfg.to_dict()
 
 
@@ -368,8 +376,7 @@ def test_montecarlo_single_trial_matches_mission():
     mc = harness.run_montecarlo(cfg, trials=3)
     records = []
     for seed in harness.derive_trial_seeds(cfg.seed, 3):
-        trial_cfg = ScenarioConfig.from_dict(cfg.to_dict())
-        trial_cfg.seed = seed
+        trial_cfg = replace(ScenarioConfig.from_dict(cfg.to_dict()), seed=seed)
         records.append(harness.run_mission(trial_cfg))
     summaries = [r.summary for r in records]
     assert mc.trials == 3
@@ -591,8 +598,8 @@ def test_void_disabled_uses_tiny_radius():
     dists = [math.hypot(s.uav_x - 160.0, s.uav_y - 150.0) for s in rec.steps]
     assert min(dists) < 30.0  # approaches well inside the default 50 m radius
 
-    cfg_on = ScenarioConfig.from_dict(cfg.to_dict())
-    cfg_on.planner = planner.PlannerKind(kind="lavapilot", void_enabled=True)
+    cfg_on = replace(ScenarioConfig.from_dict(cfg.to_dict()),
+                     planner=planner.PlannerKind(kind="lavapilot", void_enabled=True))
     rec_on = harness.run_mission(cfg_on)
     dists_on = [math.hypot(s.uav_x - 160.0, s.uav_y - 150.0) for s in rec_on.steps]
     assert min(dists_on) >= 45.0

@@ -225,6 +225,17 @@ def test_heading_normalization():
     assert 0.0 <= uav.heading < 2.0 * math.pi
 
 
+def test_dynamics_keep_their_own_read_only_variances():
+    q = np.array([1.0, 1.0, 0.0])
+    dyn = TargetDynamics(q_diag=q)
+    q[0] = -4.0  # the caller's array: no check would see this reach the dynamics
+    assert dyn.q_diag.tolist() == [1.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        dyn.q_diag[0] = -4.0
+    with pytest.raises(AttributeError):
+        dyn.q_diag = q
+
+
 def test_dynamics_validation():
     with pytest.raises(ValueError):
         TargetDynamics(q_diag=np.array([1.0, 1.0, 0.5]))  # z noise must be zero
