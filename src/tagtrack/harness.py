@@ -4,6 +4,7 @@ batching, metrics, the planner benchmark, and file outputs."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -416,18 +417,21 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     divergences: list[dict] = []
     loc_error = [None] * n_tags
 
-    # One thread draws each tag's predict noise for the next step while this one runs
-    # the rest of the step (the draw releases the GIL). Tag j's next block is asked for
-    # only after the last use of filt_rngs[j] in a step and read before the next, so
-    # every generator draws in the same order as drawing inside predict would. The
-    # thread calls only the Generator method, never a tagtrack function (tracing
-    # wraps those and keeps one span stack), and the blocks are allocated on this
-    # thread: allocated on the draw thread they page-faulted over three times as often.
+    # One thread draws the next tag's predict noise while this one runs tag j's turn
+    # (the draw releases the GIL). Each submit takes the other of two buffers, so the
+    # draw never writes the block predict is reading. The draw for tag j + 1 (tag 0's
+    # for the next step) goes in when tag j's block is taken; with one tag, after its
+    # resample. Either way it follows the last use of that generator, so every generator
+    # draws in the same order as drawing inside predict would. The thread calls only
+    # the Generator method, never a tagtrack function (tracing wraps those and keeps
+    # one span stack), and the buffers are allocated on this thread: allocated on the
+    # draw thread they page-faulted over three times as often.
     draws = ThreadPoolExecutor(max_workers=1)
     try:
+        buffers = itertools.cycle([np.empty((cfg.tracker.num_particles, 3)) for _ in range(2)])
+
         def draw_noise(j):
-            return draws.submit(filt_rngs[j].standard_normal,
-                                out=np.empty((cfg.tracker.num_particles, 3)))
+            return draws.submit(filt_rngs[j].standard_normal, out=next(buffers))
 
         beliefs = []
         for j in range(n_tags):
@@ -438,7 +442,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
                 b = tracker_mod.init_belief(area, cfg.tag_height, wavelengths[j], cfg.tracker,
                                             filt_rngs[j])
             beliefs.append(b)
-        noise = [draw_noise(j) for j in range(n_tags)]
+        noise = draw_noise(0)
 
         for k in range(1, n_steps + 1):
             tag_xy = target_step(tag_xy, cfg.target_dynamics, dyn_rngs, area)
@@ -446,12 +450,16 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
 
             zs = rf_mod.sample_measurement(tag_xy, height, uav, cfg.rf, meas_rngs, wavelengths)
             for j in range(n_tags):
-                b = tracker_mod.predict(beliefs[j], filter_dyn, noise[j].result(), area)
+                block = noise.result()
+                if n_tags > 1:  # the next tag's generator is idle until its turn
+                    noise = draw_noise((j + 1) % n_tags)
+                b = tracker_mod.predict(beliefs[j], filter_dyn, block, area)
                 b = tracker_mod.update(b, zs[j], uav, cfg.rf)
                 if b.diverged:
                     divergences.append({"k": k, "tag_id": j + 1})
                 b = tracker_mod.resample_if_needed(b, cfg.tracker, filt_rngs[j])
-                noise[j] = draw_noise(j)
+                if n_tags == 1:  # after the generator's last use in the step
+                    noise = draw_noise(0)
                 beliefs[j] = b = tracker_mod.mark_localized(b, cfg.tracker)
                 if b.localized and loc_error[j] is None:
                     loc_error[j] = tag_error(j)
@@ -492,7 +500,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
             if all_localized:
                 break
     finally:
-        # the blocks still queued are for a step that never comes: drop them undrawn
+        # the draw still queued is for a turn that never comes: drop it undrawn
         draws.shutdown(cancel_futures=True)
 
     for j in range(n_tags):

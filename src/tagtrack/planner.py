@@ -88,10 +88,14 @@ def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r
     )
     if not near.any():
         return np.zeros(len(px))
-    dx = x[near, None] - px[None, :]
-    dy = y[near, None] - py[None, :]
-    inside = (dx * dx + dy * dy) < r_min * r_min
-    return belief.weights[near] @ inside
+    # two (n, H) buffers: d2 takes dx, dx², dx² + dy² and then the 1.0/0.0 disc test,
+    # in the order and with the values of `(dx * dx + dy * dy) < r_min * r_min`
+    d2 = np.subtract(x[near, None], px[None, :])
+    np.multiply(d2, d2, out=d2)
+    dy = np.subtract(y[near, None], py[None, :])
+    d2 += np.multiply(dy, dy, out=dy)
+    np.less(d2, r_min * r_min, out=d2)
+    return belief.weights[near] @ d2
 
 
 def _void_per_belief(beliefs, xy: np.ndarray, r_min: float):

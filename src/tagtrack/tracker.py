@@ -174,7 +174,9 @@ def resample_if_needed(
     if effective_sample_size(belief.weights) >= cfg.resample_threshold * n:
         return belief
     idx = systematic_resample_indices(belief.weights, rng)
-    return replace(belief, particles=belief.particles[idx], weights=np.full(n, 1.0 / n))
+    # np.take gathers whole rows in one copy, several times faster than fancy indexing
+    return replace(belief, particles=np.take(belief.particles, idx, axis=0),
+                   weights=np.full(n, 1.0 / n))
 
 
 def estimate(belief: ObjectBelief) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -113,17 +113,17 @@ class UavKinematics:
 class TargetDynamics:
     """Gaussian random-walk displacement per step; z-axis variance must be zero."""
 
-    q_diag: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
+    q_diag: tuple[float, float, float] = (1.0, 1.0, 0.0)
 
     def __post_init__(self):
-        q_diag = np.array(np.ravel(self.q_diag), dtype=float)  # its own copy, made read-only
-        if q_diag.size != 3:
-            raise ValueError(f"q_diag must hold 3 variances (x, y, z), got {q_diag.size}")
-        q_diag.flags.writeable = False
+        # a tuple of floats: compares, hashes and pickles as a value, and nothing can edit it
+        q_diag = tuple(map(float, np.ravel(self.q_diag)))
+        if len(q_diag) != 3:
+            raise ValueError(f"q_diag must hold 3 variances (x, y, z), got {len(q_diag)}")
         object.__setattr__(self, "q_diag", q_diag)
-        if not np.all((self.q_diag >= 0.0) & (self.q_diag < math.inf)):
+        if not all(0.0 <= q < math.inf for q in q_diag):
             raise ValueError("process noise variances must be non-negative and finite")
-        if self.q_diag[2] != 0.0:
+        if q_diag[2] != 0.0:
             raise ValueError("z-axis process noise must be zero (targets stay at fixed height)")
 
 

@@ -81,6 +81,23 @@ def void_probability_brute(particles, weights, pose_xy, r_min):
     return 1.0 - total
 
 
+def mass_inside_broadcast(particles, weights, px, py, r_min):
+    """The void gate's per-pose disc mass as one broadcast expression: the particles in
+    the poses' bounding box widened by r_min, their (n, H) boolean disc test, and that
+    test weighted by a matrix product. The planner must match it bit for bit."""
+    x = particles[:, 0]
+    y = particles[:, 1]
+    near = (
+        (x >= px.min() - r_min) & (x <= px.max() + r_min)
+        & (y >= py.min() - r_min) & (y <= py.max() + r_min)
+    )
+    if not near.any():
+        return np.zeros(len(px))
+    dx = x[near, None] - px[None, :]
+    dy = y[near, None] - py[None, :]
+    return weights[near] @ ((dx * dx + dy * dy) < r_min * r_min)
+
+
 def trajectory_void_brute(belief_arrays, poses_xy, r_min):
     """Minimum of the single-pose void probability over all (object, pose) pairs."""
     best = 1.0

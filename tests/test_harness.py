@@ -13,11 +13,14 @@ from tagtrack import harness, planner, rf, tracker, world
 from tagtrack.harness import ScenarioConfig
 
 
+TAG_SITES = [(70.0, 220.0), (230.0, 90.0), (150.0, 40.0)]
+
+
 def small_config(**kw):
     defaults = dict(
         area=world.Area(0.0, 300.0, 0.0, 300.0),
         num_tags=2,
-        tag_positions=[(70.0, 220.0), (230.0, 90.0)],
+        tag_positions=TAG_SITES[:2],
         uav_start_xy=(150.0, 150.0),
         max_flight_time=120.0,
         tracker=tracker.TrackerConfig(num_particles=600, sigma_min=35.0),
@@ -204,6 +207,15 @@ def test_unknown_config_attribute_raises(name, value):
     assert pickle.loads(pickle.dumps(cfg)).to_dict() == cfg.to_dict()
 
 
+def test_configs_compare_as_values():
+    # both dynamics hold their variances as values, so a config and its pickled copy
+    # (each Monte-Carlo worker receives one) compare equal, field by field
+    cfg = small_config(filter_dynamics=world.TargetDynamics(q_diag=np.array([2.0, 2.0, 0.0])))
+    assert ScenarioConfig() == ScenarioConfig()
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert cfg != replace(cfg, filter_dynamics=world.TargetDynamics(q_diag=(2.0, 3.0, 0.0)))
+
+
 def test_step_period_has_one_owner():
     """The JSON key and the library API set the one period both the loop and the planner
     read, so the two configs fly the same mission and echo the same period."""
@@ -245,29 +257,34 @@ def test_mission_deterministic_given_seed():
 
 
 def test_mission_filter_matches_sequential_replay():
-    """The mission's filter, fed noise drawn one step ahead on its draw thread, equals
-    a replay that draws inside each step from a generator seeded the same way."""
-    cfg = small_config(max_flight_time=60.0,
-                       filter_dynamics=world.TargetDynamics(q_diag=np.array([4.0, 4.0, 0.0])))
-    rec = harness.run_mission(cfg)
-    filt_ss = np.random.SeedSequence(cfg.seed).spawn(4)[3]
-    n = cfg.tracker.num_particles
-    resampled = 0
-    for j, ss in enumerate(filt_ss.spawn(cfg.num_tags)):
-        rng = np.random.default_rng(ss)
-        b = tracker.init_belief(cfg.area, cfg.tag_height, cfg.rf.wavelength, cfg.tracker, rng)
-        for s in rec.steps:
-            uav = world.UavState(position=np.array([s.uav_x, s.uav_y, s.uav_z]),
-                                 heading=s.uav_heading)
-            b = tracker.predict(b, cfg.filter_dynamics, rng.standard_normal((n, 3)), cfg.area)
-            b = tracker.update(b, s.rssi[j], uav, cfg.rf)
-            out = tracker.resample_if_needed(b, cfg.tracker, rng)
-            resampled += out is not b
-            b = tracker.mark_localized(out, cfg.tracker)
-            assert (*map(float, tracker.estimate(b)), b.height) == s.est[j]
-            assert tracker.uncertainty(b) == s.sigma[j]
-            assert b.localized == s.localized[j]
-    assert resampled > 0  # the resampling offsets share each generator with the noise
+    """The mission's filter, fed noise drawn a tag's turn ahead on its draw thread
+    (with one tag, after that tag's resample), equals a replay that draws inside each
+    step from a generator seeded the same way, for 1, 2 and 3 tags."""
+    for n_tags in (1, 2, 3):
+        cfg = small_config(num_tags=n_tags, tag_positions=TAG_SITES[:n_tags],
+                           max_flight_time=60.0,
+                           filter_dynamics=world.TargetDynamics(q_diag=(4.0, 4.0, 0.0)))
+        rec = harness.run_mission(cfg)
+        filt_ss = np.random.SeedSequence(cfg.seed).spawn(4)[3]
+        n = cfg.tracker.num_particles
+        resampled = 0
+        for j, ss in enumerate(filt_ss.spawn(cfg.num_tags)):
+            rng = np.random.default_rng(ss)
+            b = tracker.init_belief(cfg.area, cfg.tag_height, cfg.rf.wavelength, cfg.tracker,
+                                    rng)
+            for s in rec.steps:
+                uav = world.UavState(position=np.array([s.uav_x, s.uav_y, s.uav_z]),
+                                     heading=s.uav_heading)
+                b = tracker.predict(b, cfg.filter_dynamics, rng.standard_normal((n, 3)),
+                                    cfg.area)
+                b = tracker.update(b, s.rssi[j], uav, cfg.rf)
+                out = tracker.resample_if_needed(b, cfg.tracker, rng)
+                resampled += out is not b
+                b = tracker.mark_localized(out, cfg.tracker)
+                assert (*map(float, tracker.estimate(b)), b.height) == s.est[j]
+                assert tracker.uncertainty(b) == s.sigma[j]
+                assert b.localized == s.localized[j]
+        assert resampled > 0  # the resampling offsets share each generator with the noise
 
 
 def test_mission_keeps_every_position_inside_the_area(monkeypatch):
@@ -464,48 +481,84 @@ def test_no_thread_outlives_mission(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("ending", ["cap", "all_localized"])
-def test_no_noise_block_outlives_its_mission(monkeypatch, ending):
-    """Each predict-noise block a mission queues is either read by a predict or
-    cancelled when the step loop ends, whether by the cap or by localizing every tag."""
-    if ending == "cap":
-        cfg = small_config(max_flight_time=20.0)
-    else:
-        cfg = small_config(belief_init_mode="at_truth", belief_init_sigma=1.0)
-    real = harness.run_mission(cfg)
-    blocks = []
+class RecordingDraws:
+    """Stands in for the draw thread: draws each block at submit, on the caller's
+    thread, and keeps every block and every `out` buffer it was given. Drawing at
+    submit makes a draw that overwrites a block still being read change the rows."""
+
+    def __init__(self, max_workers):
+        self.blocks, self.buffers = [], []
+        RecordingDraws.last = self
+
+    def submit(self, fn, *args, **kwargs):
+        self.buffers.append(kwargs["out"])
+        self.blocks.append(RecordingDraws.Block(fn(*args, **kwargs)))
+        return self.blocks[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if cancel_futures:
+            for b in self.blocks:
+                b.cancelled = not b.read
 
     class Block:
         def __init__(self, value):
             self.value, self.read, self.cancelled = value, False, False
 
         def result(self):
-            assert not self.cancelled
+            assert not self.cancelled and not self.read
             self.read = True
             return self.value
 
-    class RecordingPool:
-        """Stands in for the draw thread: draws each block at submit, on the caller's
-        thread, which uses every generator in the same order."""
 
-        def __init__(self, max_workers):
-            pass
+class FreshDraws(RecordingDraws):
+    """Draws each block into a new array: no draw can reach a block being read."""
 
-        def submit(self, fn, *args, **kwargs):
-            blocks.append(Block(fn(*args, **kwargs)))
-            return blocks[-1]
+    def submit(self, fn, *args, out):
+        return super().submit(fn, *args, out=np.empty_like(out))
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            if cancel_futures:
-                for b in blocks:
-                    b.cancelled = not b.read
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    rec = harness.run_mission(cfg)
-    assert rows_signature(rec) == rows_signature(real)
-    assert rec.summary.all_localized == (ending == "all_localized")
-    assert all(b.read != b.cancelled for b in blocks)
-    assert sum(b.cancelled for b in blocks) == cfg.num_tags  # one queued block per tag
+@pytest.mark.parametrize("ending", ["cap", "all_localized"])
+def test_no_noise_block_outlives_its_mission(monkeypatch, ending):
+    """Each predict-noise block a mission queues is either read by one predict or
+    cancelled when the step loop ends, whether by the cap or by localizing every tag,
+    and exactly one draw is queued when it ends. The rows match those of fresh blocks:
+    with 3 tags, a buffer picked by tag parity would hand tag 0's next draw the buffer
+    tag 2's predict is reading (the real thread can lose that race too)."""
+    for n_tags in (1, 2, 3):
+        sites = TAG_SITES[:n_tags]
+        if ending == "cap":
+            cfg = small_config(num_tags=n_tags, tag_positions=sites, max_flight_time=20.0)
+        else:
+            cfg = small_config(num_tags=n_tags, tag_positions=sites,
+                               belief_init_mode="at_truth", belief_init_sigma=1.0)
+        real = harness.run_mission(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "ThreadPoolExecutor", FreshDraws)
+            fresh = harness.run_mission(cfg)
+            m.setattr(harness, "ThreadPoolExecutor", RecordingDraws)
+            rec = harness.run_mission(cfg)
+        blocks = RecordingDraws.last.blocks
+        assert rows_signature(rec) == rows_signature(fresh) == rows_signature(real)
+        assert rec.summary.all_localized == (ending == "all_localized")
+        assert all(b.read != b.cancelled for b in blocks)
+        assert sum(b.read for b in blocks) == n_tags * rec.summary.n_steps
+        assert sum(b.cancelled for b in blocks) == 1  # the one draw in flight
+
+
+@pytest.mark.parametrize("n_tags", [1, 2, 3, 5])
+def test_mission_draws_into_two_noise_buffers(monkeypatch, n_tags):
+    """A mission hands the draw thread the same two (N, 3) buffers, whatever its tag
+    count and step count: none is allocated inside the step loop."""
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingDraws)
+    sites = [(30.0 + 50.0 * j, 250.0 - 40.0 * j) for j in range(n_tags)]
+    for seconds in (0.0, 1.0, 5.0, 20.0):
+        cfg = small_config(num_tags=n_tags, tag_positions=sites, max_flight_time=seconds)
+        rec = harness.run_mission(cfg)
+        buffers = RecordingDraws.last.buffers
+        assert len(buffers) == n_tags * rec.summary.n_steps + 1
+        distinct = {id(out) for out in buffers}  # the recorder keeps them all alive
+        assert len(distinct) == min(2, len(buffers))
+        assert all(out.shape == (cfg.tracker.num_particles, 3) for out in buffers)
 
 
 def test_heatmap_counts_cover_all_poses():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from tagtrack import planner, rf, tracker
 from tagtrack.world import Area, UavKinematics, UavState, uav_rollout
 
-from oracles import dyadic_weights, trajectory_void_brute, void_probability_brute
+from oracles import (dyadic_weights, mass_inside_broadcast, trajectory_void_brute,
+                     void_probability_brute)
 
 KIN = UavKinematics()
 RF = rf.PropagationConfig()
@@ -44,6 +46,47 @@ def test_void_disc_is_open():
     assert void_probability(at_origin, (50.0, 0.0), r_min) == 1.0
     # directly under the observer
     assert void_probability(at_origin, (0.0, 0.0), 1e-6) == 0.0
+
+
+def test_mass_inside_matches_the_broadcast_expression():
+    # dense beliefs around the poses, so most particles pass the bounding box and many
+    # fall inside a disc; one particle per pose sits on that pose's circle
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n = int(rng.integers(1, 10_001))
+        h = int(rng.integers(1, 14))
+        px = rng.uniform(-50.0, 50.0, h)
+        py = rng.uniform(-50.0, 50.0, h)
+        r_min = float(rng.uniform(0.5, 80.0))
+        pts = np.column_stack([rng.normal(px.mean(), 40.0, n), rng.normal(py.mean(), 40.0, n)])
+        m = min(n, h)
+        pts[:m, 0] = px[:m] + r_min
+        pts[:m, 1] = py[:m]
+        w = rng.random(n)
+        w /= w.sum()
+        b = tracker.ObjectBelief(pts, w, 1.0, RF.wavelength)
+        got = planner._mass_inside(b, px, py, r_min)
+        want = mass_inside_broadcast(pts, w, px, py, r_min)
+        assert got.dtype == want.dtype and got.shape == (h,)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_mass_inside_of_a_dense_belief_peaks_at_two_megabytes():
+    # all 10k particles lie near the 11 poses: the disc test of every (particle, pose)
+    # pair is one (n, H) float buffer, plus one for dy², about 1.8 MB in all
+    rng = np.random.default_rng(5)
+    n, h = 10_000, 11
+    pts = rng.normal(0.0, 20.0, (n, 2))
+    b = tracker.ObjectBelief(pts, np.full(n, 1.0 / n), 1.0, RF.wavelength)
+    px, py = rng.normal(0.0, 5.0, h), rng.normal(0.0, 5.0, h)
+    planner._mass_inside(b, px, py, 30.0)  # warm numpy's caches outside the traced call
+    tracemalloc.start()
+    try:
+        planner._mass_inside(b, px, py, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_void_probability_trivials():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -229,11 +230,22 @@ def test_dynamics_keep_their_own_read_only_variances():
     q = np.array([1.0, 1.0, 0.0])
     dyn = TargetDynamics(q_diag=q)
     q[0] = -4.0  # the caller's array: no check would see this reach the dynamics
-    assert dyn.q_diag.tolist() == [1.0, 1.0, 0.0]
-    with pytest.raises(ValueError):
+    assert dyn.q_diag == (1.0, 1.0, 0.0)
+    assert type(dyn.q_diag) is tuple and all(type(v) is float for v in dyn.q_diag)
+    with pytest.raises(TypeError):
         dyn.q_diag[0] = -4.0
     with pytest.raises(AttributeError):
         dyn.q_diag = q
+
+
+def test_dynamics_compare_and_pickle_as_values():
+    dyn = TargetDynamics(q_diag=np.array([4.0, 9.0, 0.0]))
+    assert dyn == TargetDynamics(q_diag=[4.0, 9.0, 0.0]) != TargetDynamics()
+    assert hash(dyn) == hash(TargetDynamics(q_diag=(4, 9, 0)))
+    back = pickle.loads(pickle.dumps(dyn))  # how run_montecarlo's workers receive it
+    assert back == dyn and type(back.q_diag) is tuple
+    with pytest.raises(TypeError):
+        back.q_diag[0] = -4.0
 
 
 def test_dynamics_validation():
