@@ -17,7 +17,7 @@ import numpy as np
 from . import planner as planner_mod
 from . import rf as rf_mod
 from . import tracker as tracker_mod
-from .world import Area, TargetDynamics, UavKinematics, UavState, target_step
+from .world import Area, TargetDynamics, UavKinematics, UavState, is_count, target_step
 
 SCHEMA_VERSION = 2
 HEATMAP_BIN_M = 10.0
@@ -71,10 +71,10 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        if self.num_tags < 1:
-            raise ConfigError("num_tags must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (is_count(self.num_tags) and self.num_tags >= 1):
+            raise ConfigError(f"num_tags must be an integer >= 1, got {self.num_tags!r}")
+        if not (is_count(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("tag_height", "max_flight_time", "uav_start_heading", "belief_init_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{_KEYS[name]} must be finite, got {getattr(self, name)}")
@@ -407,8 +407,7 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     # "without void" runs keep the same code path with a vanishing safe radius
     planner_void = cfg.void if cfg.planner.void_enabled else replace(cfg.void, r_min=0.001)
 
-    uav = UavState(position=np.array([cfg.uav_start_xy[0], cfg.uav_start_xy[1], kin.altitude]),
-                   heading=cfg.uav_start_heading, speed=0.0)
+    uav = UavState(xy=cfg.uav_start_xy, altitude=kin.altitude, heading=cfg.uav_start_heading)
     pending = iter(())
 
     steps: list[MissionStep] = []
@@ -488,8 +487,8 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
 
             steps.append(MissionStep(
                 k=k,
-                uav_x=float(uav.position[0]), uav_y=float(uav.position[1]),
-                uav_z=float(uav.position[2]), uav_heading=float(uav.heading),
+                uav_x=float(uav.xy[0]), uav_y=float(uav.xy[1]),
+                uav_z=uav.altitude, uav_heading=uav.heading,
                 rssi=zs.tolist(),
                 est=[(float(x), float(y), height) for x, y in map(tracker_mod.estimate, beliefs)],
                 sigma=[tracker_mod.uncertainty(b) for b in beliefs],
@@ -673,7 +672,7 @@ def _bench_snapshot(particles: int, tags: int, seed: int, wavelength: float):
         cfg_t = tracker_mod.TrackerConfig(num_particles=particles, sigma_min=35.0)
         beliefs.append(tracker_mod.init_belief_at((x, 700.0), 1.0, sigma, wavelength, cfg_t,
                                                   rng, area))
-    uav = UavState(position=np.array([xs[mid], 150.0, 30.0]), heading=math.pi / 2, speed=0.0)
+    uav = UavState(xy=(xs[mid], 150.0), altitude=30.0, heading=math.pi / 2)
     return beliefs, uav, area
 
 

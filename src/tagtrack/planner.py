@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rf, tracker
-from .world import Area, Rollout, UavKinematics, UavState, uav_rollout
+from .world import Area, Rollout, UavKinematics, UavState, is_count, uav_rollout
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,14 @@ class VoidConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.r_min > 0.0:
-            raise ValueError("r_min must be positive")
+        if not 0.0 < self.r_min < math.inf:
+            raise ValueError("r_min must be positive and finite")
         if not (0.0 <= self.b_min <= 1.0):
             raise ValueError("b_min must lie in [0, 1]")
-        if not self.horizon >= 1:
-            raise ValueError("horizon must be >= 1")
-        if not self.action_count >= 3:
-            raise ValueError("action_count must be >= 3")
+        if not (is_count(self.horizon) and self.horizon >= 1):
+            raise ValueError("horizon must be an integer >= 1")
+        if not (is_count(self.action_count) and self.action_count >= 3):
+            raise ValueError("action_count must be an integer >= 3")
         if not 0.0 < self.step_period < math.inf:
             raise ValueError("step_period must be positive and finite")
 

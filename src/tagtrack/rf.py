@@ -145,7 +145,8 @@ def _model_power(xy, z, uav: UavState, cfg: PropagationConfig, wavelength):
     xy = np.asarray(xy, dtype=float)
     batch = xy.shape[:-1]
     xy = xy.reshape(-1, 2)
-    ux, uy, uz = uav.position
+    ux, uy = uav.xy
+    uz = uav.altitude
     dx = np.subtract(xy[:, 0], ux)
     dy = np.subtract(xy[:, 1], uy)
     rh2 = np.multiply(dx, dx)
@@ -206,14 +207,13 @@ def _model_power(xy, z, uav: UavState, cfg: PropagationConfig, wavelength):
 
 
 def received_power_array(positions, uav: UavState, cfg: PropagationConfig, height,
-                         wavelength=None) -> np.ndarray:
+                         wavelength) -> np.ndarray:
     """Vectorized mean received power for horizontal positions shaped (..., 2).
 
-    `height` (the tags' height above the ground plane) and `wavelength` (by default
-    cfg.wavelength) are each a scalar or one value per position.
+    `height` (the tags' height above the ground plane) and the carrier `wavelength`
+    are each a scalar or one value per position.
     """
-    h, d_sq = _model_power(positions, height, uav, cfg,
-                           cfg.wavelength if wavelength is None else wavelength)
+    h, d_sq = _model_power(positions, height, uav, cfg, wavelength)
     if not d_sq.all():
         raise ValueError("tag position coincides with the observer position")
     return h

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rf
-from .world import Area, TargetDynamics, UavState
+from .world import Area, TargetDynamics, UavState, is_count
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class TrackerConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.num_particles >= 1:
-            raise ValueError("num_particles must be >= 1")
+        if not (is_count(self.num_particles) and self.num_particles >= 1):
+            raise ValueError("num_particles must be an integer >= 1")
         if not (0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
         if not 0.0 < self.sigma_min < math.inf:

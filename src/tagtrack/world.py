@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,8 +23,10 @@ class Area:
     y_max: float = 1000.0
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate area: {self}")
+        # written so that NaN fails it; an infinite bound fails too
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ValueError(f"area bounds must be finite with min < max: {self}")
 
     @property
     def center(self) -> np.ndarray:
@@ -47,28 +50,36 @@ class Area:
         return rng.uniform(lo, hi, size=(n, 2))
 
 
+def is_count(value) -> bool:
+    """Whether `value` is an integer (a numpy integer too), not a bool or a whole float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def wrap_heading(theta: float) -> float:
     """Normalize an angle to [0, 2*pi)."""
     return float(theta) % TWO_PI
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # an array field: equality is identity
 class UavState:
-    """Observer pose: 3D position (z is altitude AGL), heading in [0, 2pi), speed in m/s."""
+    """Observer pose, an immutable value: a read-only (2,) `xy` and the `altitude` above
+    ground in meters, a heading in [0, 2pi) and a speed in m/s."""
 
-    position: np.ndarray
+    xy: np.ndarray
+    altitude: float
     heading: float = 0.0
     speed: float = 0.0
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.heading = wrap_heading(self.heading)
-        if self.speed < 0.0:
-            raise ValueError(f"negative speed: {self.speed}")
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self.position[:2]
+        xy = np.array(self.xy, dtype=float).reshape(2)  # a copy: no caller's array aliases it
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "altitude", float(self.altitude))
+        object.__setattr__(self, "heading", wrap_heading(self.heading))
+        # a non-finite heading wraps to NaN, and NaN fails both checks
+        values = (*xy.tolist(), self.altitude, self.heading, self.speed)
+        if not (all(map(math.isfinite, values)) and self.speed >= 0.0):
+            raise ValueError(f"pose values must be finite and the speed non-negative: {self}")
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality is identity
@@ -88,8 +99,7 @@ class Rollout:
         return len(self.speed)
 
     def __getitem__(self, i) -> UavState:
-        x, y = self.xy[i]
-        return UavState(position=np.array([x, y, self.altitude]), heading=self.heading,
+        return UavState(xy=self.xy[i], altitude=self.altitude, heading=self.heading,
                         speed=float(self.speed[i]))
 
 
@@ -198,8 +208,7 @@ def uav_rollout(
     """
     if horizon_steps < 1:
         raise ValueError("horizon_steps must be >= 1")
-    start = current.position
-    delta = np.asarray(waypoint, dtype=float) - start[:2]
+    delta = np.asarray(waypoint, dtype=float) - current.xy
     dist = float(math.hypot(delta[0], delta[1]))
     if dist <= 1e-12:
         unit = np.zeros(2)
@@ -211,6 +220,6 @@ def uav_rollout(
     samples = np.array(_trapezoid_samples(
         dist, float(current.speed), kin.v_max, kin.accel, int(horizon_steps), float(step_period),
     ))
-    xy = start[:2] + unit * samples[:, :1]
+    xy = current.xy + unit * samples[:, :1]
     samples.flags.writeable = xy.flags.writeable = False
-    return Rollout(xy=xy, speed=samples[:, 1], altitude=float(start[2]), heading=heading)
+    return Rollout(xy=xy, speed=samples[:, 1], altitude=current.altitude, heading=heading)

@@ -193,13 +193,12 @@ def test_c5_oracle_equivalence_suite():
             reflection_mode="constant" if rng.random() < 0.5 else "fresnel",
             reflection_gamma=float(rng.uniform(-0.95, 0.95)),
             rel_permittivity=float(rng.uniform(2.0, 30.0)))
-        uav = world.UavState(position=np.array([rng.uniform(-200, 200),
-                                                rng.uniform(-200, 200),
-                                                rng.uniform(10, 80)]),
+        uav = world.UavState(xy=(rng.uniform(-200, 200), rng.uniform(-200, 200)),
+                             altitude=rng.uniform(10, 80),
                              heading=float(rng.uniform(0, 2 * math.pi)))
         obj = np.array([rng.uniform(-500, 500), rng.uniform(-500, 500), rng.uniform(0.5, 2.0)])
-        got = float(rf.received_power_array(obj[:2], uav, cfg, obj[2]))
-        want = two_ray_power_oracle(obj, uav.position, uav.heading, cfg)
+        got = float(rf.received_power_array(obj[:2], uav, cfg, obj[2], cfg.wavelength))
+        want = two_ray_power_oracle(obj, (*uav.xy, uav.altitude), uav.heading, cfg)
         max_rf_err = max(max_rf_err, abs(got - want))
     rf_ok = max_rf_err < 1e-9
 
@@ -224,8 +223,8 @@ def test_c5_oracle_equivalence_suite():
         r_min = float(rng.uniform(5, 80))
         ang = float(rng.uniform(0, 2 * math.pi))
         dist = r_min + float(rng.uniform(1.0, 300.0))
-        uav = world.UavState(position=np.array([est[0] + dist * math.cos(ang),
-                                                est[1] + dist * math.sin(ang), 30.0]))
+        uav = world.UavState(xy=(est[0] + dist * math.cos(ang), est[1] + dist * math.sin(ang)),
+                             altitude=30.0)
         pts = planner.candidate_points_abc(uav, est, r_min)
         for _, p in pts:
             max_circle = max(max_circle, abs(math.hypot(*(p - est)) - r_min))
@@ -320,7 +319,7 @@ def test_c8_filter_sanity():
     rfc = rf.PropagationConfig()
     tcfg = tracker.TrackerConfig(num_particles=10_000)
     jitter = world.TargetDynamics(q_diag=np.array([0.25, 0.25, 0.0]))
-    uav = world.UavState(position=np.array([70.0, 100.0, 30.0]), heading=0.0)
+    uav = world.UavState(xy=(70.0, 100.0), altitude=30.0, heading=0.0)
     truth = np.array([130.0, 100.0, 1.0])
 
     sigmas, errors = [], []

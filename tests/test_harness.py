@@ -146,6 +146,10 @@ def test_config_validation_errors():
         small_config(max_flight_time=-1.0)
     with pytest.raises(harness.ConfigError, match="seed"):
         replace(small_config(), seed=-1)
+    for count in ({"num_tags": 2.5}, {"num_tags": True}, {"seed": 1.5}):  # counts are integers
+        with pytest.raises(harness.ConfigError, match=next(iter(count))):
+            ScenarioConfig(**count)
+    assert ScenarioConfig(num_tags=np.int64(3), seed=np.uint8(7)).num_tags == 3
     with pytest.raises(harness.ConfigError):
         ScenarioConfig.from_dict({"rf": {"path_loss_n": 9.0}})
     with pytest.raises(harness.ConfigError):
@@ -273,7 +277,7 @@ def test_mission_filter_matches_sequential_replay():
             b = tracker.init_belief(cfg.area, cfg.tag_height, cfg.rf.wavelength, cfg.tracker,
                                     rng)
             for s in rec.steps:
-                uav = world.UavState(position=np.array([s.uav_x, s.uav_y, s.uav_z]),
+                uav = world.UavState(xy=(s.uav_x, s.uav_y), altitude=s.uav_z,
                                      heading=s.uav_heading)
                 b = tracker.predict(b, cfg.filter_dynamics, rng.standard_normal((n, 3)),
                                     cfg.area)

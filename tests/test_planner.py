@@ -17,7 +17,7 @@ WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
 
 
 def make_uav(x, y, z=30.0, heading=0.0, speed=0.0):
-    return UavState(position=np.array([x, y, z]), heading=heading, speed=speed)
+    return UavState(xy=(x, y), altitude=z, heading=heading, speed=speed)
 
 
 def point_mass(x, y, n=4):
@@ -236,7 +236,7 @@ def test_lavapilot_point_mass_selects_a():
     assert action.void_prob == 1.0
     assert len(action.rollout) == 11
     for pose in action.rollout:
-        assert math.hypot(pose.position[0], pose.position[1]) >= 50.0
+        assert math.hypot(*pose.xy) >= 50.0
 
 
 def test_lavapilot_blocked_falls_through_to_discrete():
@@ -305,8 +305,8 @@ def assert_flies_to_clamped(action, uav, raw_wp, cfg):
     want = uav_rollout(uav, wp, KIN, cfg.horizon, cfg.step_period)
     assert len(action.rollout) == len(want)
     for got, ref in zip(action.rollout, want):
-        assert np.array_equal(got.position, ref.position)
-        assert (got.heading, got.speed) == (ref.heading, ref.speed)
+        assert np.array_equal(got.xy, ref.xy)
+        assert (got.altitude, got.heading, got.speed) == (ref.altitude, ref.heading, ref.speed)
 
 
 def test_lavapilot_tangent_point_outside_area_is_clamped():
@@ -383,7 +383,8 @@ def test_pseudo_update_reward_uses_the_belief_carrier():
     b = replace(blob(np.random.default_rng(5), 300.0, 200.0, 30.0), wavelength=lam)
     terminal = make_uav(120.0, 80.0, heading=0.6)
     own = replace(RF, wavelength=lam)
-    z_star = float(rf.received_power_array(tracker.estimate(b), terminal, own, b.height))
+    z_star = float(rf.received_power_array(tracker.estimate(b), terminal, own, b.height,
+                                           own.wavelength))
     log_g = rf.log_likelihood_array(z_star, b.particles, terminal, own, b.height)
     renyi, shannon = planner.PlannerKind(kind="renyi"), planner.PlannerKind(kind="shannon")
     want = planner.renyi_reward(b.weights, log_g, renyi.alpha)
@@ -530,3 +531,8 @@ def test_planner_kind_validation():
         planner.VoidConfig(b_min=1.5)
     with pytest.raises(ValueError):
         planner.VoidConfig(action_count=2)
+    # counts are integers, and the void radius is finite
+    for bad in ({"horizon": 2.5}, {"action_count": 3.5}, {"horizon": True}, {"r_min": math.inf}):
+        with pytest.raises(ValueError):
+            planner.VoidConfig(**bad)
+    assert planner.VoidConfig(horizon=np.int64(5)).horizon == 5

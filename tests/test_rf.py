@@ -17,7 +17,12 @@ FREE_SPACE = rf.PropagationConfig(
 
 
 def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
-    return UavState(position=np.array([x, y, z]), heading=heading)
+    return UavState(xy=(x, y), altitude=z, heading=heading)
+
+
+def observer(uav):
+    """The observer's position (x, y, altitude), as the oracles take it."""
+    return np.array([*uav.xy, uav.altitude])
 
 
 def tag(x, y, z=1.0):
@@ -27,7 +32,7 @@ def tag(x, y, z=1.0):
 
 def power(pos, uav, cfg):
     """Mean received power (dBm) from one tag at pos = (x, y, z)."""
-    return float(rf.received_power_array(pos[:2], uav, cfg, pos[2]))
+    return float(rf.received_power_array(pos[:2], uav, cfg, pos[2], cfg.wavelength))
 
 
 def loglik(rssi, pos, uav, cfg):
@@ -59,7 +64,7 @@ def test_two_ray_matches_complex_oracle_reference_geometry():
     uav = make_uav(0.0, 0.0, 30.0, heading=0.3)
     obj = tag(100.0, 0.0, 1.0)
     got = power(obj, uav, cfg)
-    want = two_ray_power_oracle(obj, uav.position, uav.heading, cfg)
+    want = two_ray_power_oracle(obj, observer(uav), uav.heading, cfg)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -80,7 +85,7 @@ def test_two_ray_matches_complex_oracle_random_geometries():
         obj = tag(float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)),
                   float(rng.uniform(0.5, 2.0)))
         got = power(obj, uav, cfg)
-        want = two_ray_power_oracle(obj, uav.position, uav.heading, cfg)
+        want = two_ray_power_oracle(obj, observer(uav), uav.heading, cfg)
         assert got == pytest.approx(want, abs=1e-9)
 
     # whole batches in one kernel call, element by element against the oracle:
@@ -100,13 +105,13 @@ def test_two_ray_matches_complex_oracle_random_geometries():
                                    float(rng.uniform(10, 80)), heading=heading)
                     pts = np.column_stack([rng.uniform(-500, 500, 200), rng.uniform(-500, 500, 200),
                                            rng.uniform(0.5, 2.0, 200)])
-                    pts[:3, :2] = uav.position[:2]  # straight below
-                    got = rf.received_power_array(pts[:, :2], uav, cfg, pts[:, 2])
-                    want = [two_ray_power_oracle(p, uav.position, uav.heading, cfg) for p in pts]
+                    pts[:3, :2] = uav.xy  # straight below
+                    got = rf.received_power_array(pts[:, :2], uav, cfg, pts[:, 2], cfg.wavelength)
+                    want = [two_ray_power_oracle(p, observer(uav), uav.heading, cfg) for p in pts]
                     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
                     # coincident positions still give -inf inside a batch
-                    with_coincident = np.vstack([pts, uav.position])
+                    with_coincident = np.vstack([pts, observer(uav)])
                     ll = rf.log_likelihood_array(-70.0, with_coincident[:, :2], uav, cfg,
                                                  with_coincident[:, 2])
                     assert ll[-1] == -math.inf
@@ -125,20 +130,20 @@ def test_scalar_height_equals_per_row_heights_bit_for_bit(mode, table):
     cfg = rf.PropagationConfig(wavelength=1.7, reflection_mode=mode, antenna_table=table)
     uav = make_uav(20.0, -30.0, 30.0, heading=2.1)
     xy = rng.uniform(-400, 400, size=(500, 2))
-    xy[:4] = uav.position[:2]  # straight below the observer: rh = 0
+    xy[:4] = uav.xy  # straight below the observer: rh = 0
     for z in (1.0, 0.0):
         rows = np.full(len(xy), z)
         one = rf.log_likelihood_array(-75.0, xy, uav, cfg, z)
         per_row = rf.log_likelihood_array(-75.0, xy, uav, cfg, rows)
         assert one.tobytes() == per_row.tobytes()
-        one = rf.received_power_array(xy, uav, cfg, z)
+        one = rf.received_power_array(xy, uav, cfg, z, cfg.wavelength)
         per_row = rf.received_power_array(xy, uav, cfg, rows, np.full(len(xy), cfg.wavelength))
         assert one.tobytes() == per_row.tobytes()
         # a carrier passed in equals the same carrier set in the config
         own = rf.log_likelihood_array(-75.0, xy, uav, replace(cfg, wavelength=0.9), z)
         assert own.tobytes() == rf.log_likelihood_array(-75.0, xy, uav, cfg, z, 0.9).tobytes()
     # at the observer's altitude the particles straight below it coincide with it
-    z = float(uav.position[2])
+    z = uav.altitude
     one = rf.log_likelihood_array(-75.0, xy, uav, cfg, z)
     per_row = rf.log_likelihood_array(-75.0, xy, uav, cfg, np.full(len(xy), z))
     assert np.all(one[:4] == -math.inf) and np.all(np.isfinite(one[4:]))
@@ -151,7 +156,7 @@ def test_batched_measurement_equals_one_target_calls(mode, table):
     cfg = rf.PropagationConfig(reflection_mode=mode, antenna_table=table)
     uav = make_uav(5.0, 7.0, 30.0, heading=0.4)
     xy = np.column_stack([rng.uniform(-300, 300, 7), rng.uniform(-300, 300, 7)])
-    xy[0] = uav.position[:2]  # straight below the observer
+    xy[0] = uav.xy  # straight below the observer
     for height in (1.0, float(rng.uniform(0.0, 3.0))):
         wavelengths = rng.uniform(0.5, 3.0, len(xy))
         batched_rngs = [np.random.default_rng(100 + j) for j in range(len(xy))]
@@ -179,7 +184,7 @@ def test_multipath_term_bounds():
     uav = make_uav(0.0, 0.0, 30.0)
     for _ in range(300):
         obj = tag(float(rng.uniform(1, 800)), float(rng.uniform(-800, 800)))
-        d = float(np.linalg.norm(obj - uav.position))
+        d = float(np.linalg.norm(obj - observer(uav)))
         multipath = power(obj, uav, cfg) + 10.0 * n * math.log10(d)
         assert lo - 1e-9 <= multipath <= hi + 1e-9
 
@@ -308,7 +313,7 @@ def test_likelihood_normalizes_over_measurements():
 def test_coincident_positions():
     cfg = rf.PropagationConfig()
     uav = make_uav(10.0, 10.0, 30.0)
-    p = uav.position.copy()
+    p = observer(uav)
     with pytest.raises(ValueError):
         power(p, uav, cfg)
     ll = loglik(-80.0, p, uav, cfg)

@@ -16,7 +16,7 @@ WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
 
 
 def make_uav(x=0.0, y=0.0, z=30.0, heading=0.0):
-    return UavState(position=np.array([x, y, z]), heading=heading)
+    return UavState(xy=(x, y), altitude=z, heading=heading)
 
 
 def belief_from(particles, weights, height=1.0):
@@ -210,7 +210,7 @@ def test_update_three_to_one_ratio():
     uav = make_uav(z=1.0)
     p1 = np.array([10.0, 0.0, 1.0])
     p2 = np.array([20.0, 0.0, 1.0])
-    h1, h2 = rf.received_power_array(np.array([p1[:2], p2[:2]]), uav, cfg, 1.0)
+    h1, h2 = rf.received_power_array(np.array([p1[:2], p2[:2]]), uav, cfg, 1.0, cfg.wavelength)
     # choose z so that g1/g2 = 3: (z-h2)^2 - (z-h1)^2 = 2*Q*ln 3
     z = (2.0 * 25.0 * math.log(3.0) + h1 * h1 - h2 * h2) / (2.0 * (h1 - h2))
     b = belief_from([p1[:2], p2[:2]], [0.5, 0.5], height=1.0)
@@ -235,8 +235,8 @@ def test_update_matches_high_precision_oracle():
 
 def test_update_underflow_resets_uniform_and_flags():
     uav = make_uav(10.0, 10.0, 30.0)
-    pts = np.tile(uav.position[:2], (8, 1))  # all particles coincide with the observer
-    b = belief_from(pts, np.full(8, 1.0 / 8), height=uav.position[2])
+    pts = np.tile(uav.xy, (8, 1))  # all particles coincide with the observer
+    b = belief_from(pts, np.full(8, 1.0 / 8), height=uav.altitude)
     out = tracker.update(b, -80.0, uav, rf.PropagationConfig())
     assert out.diverged
     assert np.all(out.weights == 1.0 / 8)
@@ -351,6 +351,9 @@ def test_mark_localized_is_monotone():
 def test_tracker_config_validation():
     with pytest.raises(ValueError):
         tracker.TrackerConfig(num_particles=0)
+    for count in (200.0, True):  # a particle count is an integer
+        with pytest.raises(ValueError):
+            tracker.TrackerConfig(num_particles=count)
     with pytest.raises(ValueError):
         tracker.TrackerConfig(resample_threshold=0.0)
     with pytest.raises(ValueError):

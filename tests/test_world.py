@@ -22,7 +22,7 @@ WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
 
 
 def make_uav(x=0.0, y=0.0, heading=0.0, speed=0.0):
-    return UavState(position=np.array([x, y, 30.0]), heading=heading, speed=speed)
+    return UavState(xy=(x, y), altitude=30.0, heading=heading, speed=speed)
 
 
 def test_rollout_zero_displacement_is_identity():
@@ -30,7 +30,7 @@ def test_rollout_zero_displacement_is_identity():
     poses = uav_rollout(uav, (12.0, -3.0), KIN, 11, 1.0)
     assert len(poses) == 11
     for p in poses:
-        assert np.array_equal(p.position, uav.position)
+        assert np.array_equal(p.xy, uav.xy) and p.altitude == uav.altitude
         assert p.speed == 0.0
         assert p.heading == uav.heading
 
@@ -40,8 +40,8 @@ def test_rollout_constant_velocity_with_instant_accel():
     uav = make_uav()
     poses = uav_rollout(uav, (100.0, 0.0), kin, 11, 1.0)
     for k, p in enumerate(poses, start=1):
-        assert abs(p.position[0] - 5.0 * k) < 1e-9
-        assert p.position[1] == 0.0
+        assert abs(p.xy[0] - 5.0 * k) < 1e-9
+        assert p.xy[1] == 0.0
         assert p.heading == 0.0
 
 
@@ -58,7 +58,7 @@ def test_rollout_matches_fine_step_oracle():
                                        v_max=5.0, accel=2.0, dt=1e-4, horizon=11, t0=t0)
         tol = 0.01 * kin.v_max * t0  # 1% of one step's flight at full speed
         for p, r in zip(poses, ref):
-            assert math.hypot(p.position[0] - r[0], p.position[1] - r[1]) < tol
+            assert math.hypot(p.xy[0] - r[0], p.xy[1] - r[1]) < tol
 
 
 def test_rollout_matches_oracle_random_cases():
@@ -68,13 +68,13 @@ def test_rollout_matches_oracle_random_cases():
             start = rng.uniform(-50, 50, size=2)
             wp = rng.uniform(-80, 80, size=2)
             v0 = float(rng.uniform(0, 5))
-            uav = UavState(position=np.array([start[0], start[1], 30.0]), heading=0.0, speed=v0)
+            uav = UavState(xy=start, altitude=30.0, heading=0.0, speed=v0)
             poses = uav_rollout(uav, wp, KIN, 8, t0)
             ref = rollout_positions_oracle(start, v0, wp, v_max=KIN.v_max, accel=KIN.accel,
                                            dt=1e-4, horizon=8, t0=t0)
             tol = 0.01 * KIN.v_max * t0  # 1% of one step's flight at full speed
             for p, r in zip(poses, ref):
-                assert math.hypot(p.position[0] - r[0], p.position[1] - r[1]) < tol
+                assert math.hypot(p.xy[0] - r[0], p.xy[1] - r[1]) < tol
 
 
 def test_rollout_path_length_bound():
@@ -86,7 +86,7 @@ def test_rollout_path_length_bound():
             wp = rng.uniform(-400, 400, size=2)
             uav = make_uav(speed=float(rng.uniform(0, KIN.v_max)))
             poses = uav_rollout(uav, wp, KIN, horizon, t0)
-            pts = np.vstack([uav.position[:2]] + [p.position[:2] for p in poses])
+            pts = np.vstack([uav.xy] + [p.xy for p in poses])
             length = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
             assert length <= bound + 1e-9
             # the speed never exceeds v_max, so the path is no longer than v_max * time
@@ -100,8 +100,8 @@ def test_rollout_never_overshoots_waypoint():
     d_start = math.hypot(*wp)
     for p in poses:
         # progress along the segment never exceeds the waypoint
-        assert math.hypot(p.position[0] - wp[0], p.position[1] - wp[1]) <= d_start + 1e-9
-    assert math.hypot(poses[-1].position[0] - wp[0], poses[-1].position[1] - wp[1]) < 1e-9
+        assert math.hypot(p.xy[0] - wp[0], p.xy[1] - wp[1]) <= d_start + 1e-9
+    assert math.hypot(poses[-1].xy[0] - wp[0], poses[-1].xy[1] - wp[1]) < 1e-9
 
 
 def test_rollout_deterministic():
@@ -109,7 +109,7 @@ def test_rollout_deterministic():
     a = uav_rollout(uav, (40.0, 25.0), KIN, 11, 1.0)
     b = uav_rollout(uav, (40.0, 25.0), KIN, 11, 1.0)
     for pa, pb in zip(a, b):
-        assert np.array_equal(pa.position, pb.position)
+        assert np.array_equal(pa.xy, pb.xy) and pa.altitude == pb.altitude
         assert pa.speed == pb.speed and pa.heading == pb.heading
 
 
@@ -132,12 +132,14 @@ def test_rollout_poses_read_its_arrays():
     assert rollout.altitude == 30.0
     poses = list(rollout)
     assert len(poses) == len(rollout) == 11
-    for i, pose in enumerate(poses):
-        want = np.array([*rollout.xy[i], rollout.altitude])
-        assert pose.position.tobytes() == want.tobytes()
-        assert pose.speed == rollout.speed[i] and pose.heading == rollout.heading
+    for i, pose in enumerate(poses):  # each field equals the rollout's row, bit for bit
+        assert pose.xy.tobytes() == rollout.xy[i].tobytes()
+        got = (pose.altitude, pose.heading, pose.speed)
+        want = (rollout.altitude, rollout.heading, rollout.speed[i])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert all(type(v) is float for v in got)
     terminal = rollout[-1]
-    assert terminal.position.tobytes() == poses[-1].position.tobytes()
+    assert terminal.xy.tobytes() == poses[-1].xy.tobytes()
     assert terminal.speed == poses[-1].speed
 
 
@@ -219,10 +221,23 @@ def test_target_clamped_to_area():
         assert area.contains(xy[0])
 
 
+def test_pose_is_an_immutable_value():
+    xy = np.array([3.0, -2.0])
+    uav = UavState(xy=xy, altitude=30.0, heading=1.0, speed=2.0)
+    for name in ("xy", "altitude", "heading", "speed"):
+        with pytest.raises(AttributeError):
+            setattr(uav, name, getattr(uav, name))
+    with pytest.raises(ValueError):
+        uav.xy[0] = 0.0
+    xy[0] = 99.0  # the caller's array is not the pose's
+    assert uav.xy.tolist() == [3.0, -2.0] and not np.shares_memory(uav.xy, xy)
+    assert (uav.altitude, uav.heading, uav.speed) == (30.0, 1.0, 2.0)
+
+
 def test_heading_normalization():
     assert wrap_heading(2.0 * math.pi) == 0.0
     assert abs(wrap_heading(-math.pi / 2) - 1.5 * math.pi) < 1e-12
-    uav = UavState(position=np.zeros(3), heading=7.0)
+    uav = UavState(xy=(0.0, 0.0), altitude=30.0, heading=7.0)
     assert 0.0 <= uav.heading < 2.0 * math.pi
 
 
@@ -257,3 +272,12 @@ def test_dynamics_validation():
         UavKinematics(v_max=0.0)
     with pytest.raises(ValueError):
         Area(1.0, 1.0, 0.0, 2.0)
+    for bounds in ((0.0, math.inf, 0.0, 300.0), (-math.inf, 0.0, 0.0, 300.0),
+                   (0.0, 300.0, 0.0, math.inf)):
+        with pytest.raises(ValueError):
+            Area(*bounds)
+    for bad in ({"speed": math.nan}, {"speed": math.inf},
+                {"heading": math.inf}, {"heading": math.nan}, {"altitude": math.nan},
+                {"xy": (math.nan, 0.0)}, {"xy": (0.0, -math.inf)}):
+        with pytest.raises(ValueError):
+            UavState(**{"xy": (0.0, 0.0), "altitude": 30.0, **bad})
