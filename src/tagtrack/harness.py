@@ -9,7 +9,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,6 +69,8 @@ class ScenarioConfig:
         if self.tag_frequencies_mhz is not None:
             object.__setattr__(self, "tag_frequencies_mhz", tuple(self.tag_frequencies_mhz))
         self.validate()
+        for name in ("num_tags", "seed"):  # a numpy integer is stored as int, as JSON needs
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def validate(self):
         if not (is_count(self.num_tags) and self.num_tags >= 1):
@@ -356,12 +358,27 @@ class MissionRecord:
     summary: MissionSummary
 
 
+def _median(arr: np.ndarray) -> float:
+    """np.median of a 1D float array, bit for bit, without the numpy.ma import that
+    np.median's NaN check makes. The same partition puts a NaN last, and a NaN is the
+    result; otherwise np.mean of the middle element or two, a sum that starts at 0.0
+    (so -0.0 becomes 0.0) divided by the count."""
+    n = len(arr)
+    kth = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    part = np.partition(arr, kth + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    if n % 2:
+        return float(0.0 + part[kth[0]])
+    return float((0.0 + part[kth[0]] + part[kth[1]]) / 2.0)
+
+
 def _stats(values) -> dict:
     if len(values) == 0:
         return {"mean": 0.0, "min": 0.0, "max": 0.0, "median": 0.0}
     arr = np.asarray(values, dtype=float)
     return {"mean": float(np.mean(arr)), "min": float(np.min(arr)),
-            "max": float(np.max(arr)), "median": float(np.median(arr))}
+            "max": float(np.max(arr)), "median": _median(arr)}
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +630,8 @@ def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> Mc
     trial_cfgs = [replace(cfg, seed=s) for s in derive_trial_seeds(cfg.seed, trials)]
     workers = min(parallelism, trials)  # the pool forks every worker up front
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # +1 MB resident: only when used
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_metrics, trial_cfgs))
     else:

@@ -24,6 +24,9 @@ from . import rf, tracker
 from .world import Area, Rollout, UavKinematics, UavState, is_count, uav_rollout
 
 
+GATE_ROW_BLOCK = 2048  # rows of the void gate's dy² work block (176 kB at H = 11)
+
+
 @dataclass(frozen=True)
 class VoidConfig:
     r_min: float = 50.0
@@ -42,6 +45,8 @@ class VoidConfig:
             raise ValueError("horizon must be an integer >= 1")
         if not (is_count(self.action_count) and self.action_count >= 3):
             raise ValueError("action_count must be an integer >= 3")
+        for name in ("horizon", "action_count"):  # a numpy integer is stored as int
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not 0.0 < self.step_period < math.inf:
             raise ValueError("step_period must be positive and finite")
 
@@ -88,12 +93,17 @@ def _mass_inside(belief: tracker.ObjectBelief, px: np.ndarray, py: np.ndarray, r
     )
     if not near.any():
         return np.zeros(len(px))
-    # two (n, H) buffers: d2 takes dx, dx², dx² + dy² and then the 1.0/0.0 disc test,
-    # in the order and with the values of `(dx * dx + dy * dy) < r_min * r_min`
+    # one (n, H) buffer: d2 takes dx, dx², dx² + dy² and then the 1.0/0.0 disc test,
+    # in the order and with the values of `(dx * dx + dy * dy) < r_min * r_min`;
+    # dy² is added in blocks of at most GATE_ROW_BLOCK rows
     d2 = np.subtract(x[near, None], px[None, :])
     np.multiply(d2, d2, out=d2)
-    dy = np.subtract(y[near, None], py[None, :])
-    d2 += np.multiply(dy, dy, out=dy)
+    yn = y[near, None]
+    dy = np.empty((min(len(yn), GATE_ROW_BLOCK), len(py)))
+    for i in range(0, len(yn), GATE_ROW_BLOCK):
+        block = dy[: len(yn) - i]
+        np.subtract(yn[i:i + GATE_ROW_BLOCK], py[None, :], out=block)
+        d2[i:i + GATE_ROW_BLOCK] += np.multiply(block, block, out=block)
     np.less(d2, r_min * r_min, out=d2)
     return belief.weights[near] @ d2
 

@@ -22,6 +22,7 @@ class TrackerConfig:
         # each check is written so that NaN fails it
         if not (is_count(self.num_particles) and self.num_particles >= 1):
             raise ValueError("num_particles must be an integer >= 1")
+        object.__setattr__(self, "num_particles", int(self.num_particles))  # numpy ints too
         if not (0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
         if not 0.0 < self.sigma_min < math.inf:

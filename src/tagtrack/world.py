@@ -153,7 +153,7 @@ def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area) -> np.nda
     return area.clamp(xy + step[:, :2])
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)  # a mission reuses a profile within a few decisions; more only grows RSS
 def _trapezoid_samples(
     distance: float,
     v0: float,

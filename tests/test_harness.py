@@ -1,7 +1,12 @@
+import concurrent.futures
 import copy
+import functools
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -235,6 +240,32 @@ def test_step_period_has_one_owner():
     assert lib.to_dict()["step_period_s"] == from_json.to_dict()["step_period_s"] == 2.0
 
 
+@pytest.mark.parametrize("kind,seeds", [("lavapilot", (3, 4)), ("renyi", (1, 2))])
+def test_rollout_cache_keeps_every_profile_a_mission_reuses(monkeypatch, kind, seeds):
+    # the bounded cache against an unbounded one over the same function, both emptied
+    # before each mission; lavapilot seed 4 flies 81 distinct profiles, more than fit
+    bounded = world._trapezoid_samples
+    unbounded = functools.lru_cache(maxsize=None)(bounded.__wrapped__)
+
+    def both(*args):
+        unbounded(*args)
+        return bounded(*args)
+
+    monkeypatch.setattr(world, "_trapezoid_samples", both)
+    distinct = []
+    for seed in seeds:
+        bounded.cache_clear()
+        unbounded.cache_clear()
+        harness.run_mission(ScenarioConfig(seed=seed, max_flight_time=300.0,
+                                           planner=planner.PlannerKind(kind=kind),
+                                           tracker=tracker.TrackerConfig(num_particles=1000)))
+        got, want = bounded.cache_info(), unbounded.cache_info()
+        assert want.hits > 0 and (got.hits, got.misses) == (want.hits, want.misses)
+        distinct.append(want.currsize)
+    if kind == "lavapilot":
+        assert max(distinct) > bounded.cache_info().maxsize
+
+
 def test_zero_flight_time_gives_empty_record():
     rec = harness.run_mission(small_config(max_flight_time=0.0))
     assert rec.steps == []
@@ -390,6 +421,23 @@ def test_decisions_only_on_horizon_boundaries():
         assert step_by_k[d.k].void_prob == d.void_prob
 
 
+@pytest.mark.parametrize("values", [
+    [3.0], [2.0, 1.0], [5.0, 1.5, 4.0], [0.1, 0.7, 0.2, 1e-9],
+    [4, 1, 3, 3, 2], [7, 2, 9, 4],
+    [0.0, -0.0], [-0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0, -0.0], [-0.0],
+    [1.0, float("nan"), 2.0], [float("nan"), 0.5], [float("nan")],
+    list(np.random.default_rng(8).normal(size=59)),
+    list(np.random.default_rng(9).normal(size=60)),
+], ids=["one", "two", "three", "four", "int_odd", "int_even", "zeros_2", "zeros_3",
+        "zeros_5", "negative_zero", "nan_inside", "nan_first", "nan_alone", "normal_59",
+        "normal_60"])
+def test_stats_median_is_numpy_median_bit_for_bit(values):
+    got = harness._stats(values)["median"]
+    want = float(np.median(np.asarray(values, dtype=float)))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_montecarlo_single_trial_matches_mission():
     """Every non-timing metric of a batch is _stats over its trials' own missions, in
     trial order, and so are the lowest gated void probability and the pose count."""
@@ -454,7 +502,7 @@ def test_montecarlo_pool_size_bounded_by_trials(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = small_config(max_flight_time=10.0,
                        tracker=tracker.TrackerConfig(num_particles=100, sigma_min=35.0))
     for parallelism, trials in ((500, 2), (2, 3), (500, 1)):
@@ -602,6 +650,52 @@ def test_export_mission_json_rows(tmp_path):
     assert payload["kind"] == "mission_rows"
     assert len(payload["rows"]) == len(rec.steps)
     assert list(payload["rows"][0].keys()) == sorted(harness.mission_csv_header(cfg.num_tags))
+
+
+def untimed_export(cfg, out_dir):
+    """The JSON export of cfg's mission with its wall-clock planning times left out."""
+    harness.export_mission(harness.run_mission(cfg), cfg, str(out_dir), "json")
+    rows = json.loads((out_dir / "mission.json").read_text())["rows"]
+    for row in rows:
+        row.pop("planning_time_s")
+    summary = json.loads((out_dir / "summary.json").read_text())
+    summary["summary"].pop("planning_time_stats_s")
+    return rows, summary
+
+
+def test_numpy_integer_counts_export_as_plain_ints(tmp_path):
+    built = {}
+    for name, count in (("plain", int), ("numpy", np.int64)):
+        cfg = small_config(
+            num_tags=count(2), seed=count(3), max_flight_time=25.0,
+            tracker=tracker.TrackerConfig(num_particles=count(200), sigma_min=35.0),
+            void=planner.VoidConfig(horizon=count(11), action_count=count(12)))
+        assert all(type(v) is int for v in (cfg.num_tags, cfg.seed, cfg.tracker.num_particles,
+                                             cfg.void.horizon, cfg.void.action_count))
+        (tmp_path / name).mkdir()
+        built[name] = untimed_export(cfg, tmp_path / name)
+    assert built["numpy"] == built["plain"]
+
+
+def test_a_mission_loads_no_module_it_does_not_use(tmp_path):
+    # np.median imports numpy.ma (+1.3 MB resident) and the process pool module pulls in
+    # multiprocessing (+1.3 MB): a lone mission and its export use neither
+    script = f"""
+import json, sys
+import tagtrack.cli
+from tagtrack import harness, tracker
+cfg = harness.ScenarioConfig(num_tags=2, max_flight_time=25.0, seed=3,
+                             tracker=tracker.TrackerConfig(num_particles=200))
+record = harness.run_mission(cfg)
+assert record.summary.n_decisions > 0
+harness.export_mission(record, cfg, {str(tmp_path)!r})
+print(json.dumps(sorted(set(sys.modules) & {{"numpy.ma", "concurrent.futures.process",
+                                           "multiprocessing"}})))
+"""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_export_empty_mission_has_header_only(tmp_path):

@@ -71,9 +71,9 @@ def test_mass_inside_matches_the_broadcast_expression():
         assert got.tobytes() == want.tobytes()
 
 
-def test_mass_inside_of_a_dense_belief_peaks_at_two_megabytes():
+def test_mass_inside_of_a_dense_belief_peaks_at_one_and_a_quarter_megabytes():
     # all 10k particles lie near the 11 poses: the disc test of every (particle, pose)
-    # pair is one (n, H) float buffer, plus one for dy², about 1.8 MB in all
+    # pair is one (n, H) float buffer (880 kB), plus a dy² block of at most 2048 rows
     rng = np.random.default_rng(5)
     n, h = 10_000, 11
     pts = rng.normal(0.0, 20.0, (n, 2))
@@ -86,7 +86,7 @@ def test_mass_inside_of_a_dense_belief_peaks_at_two_megabytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2_000_000
+    assert peak <= 1_250_000
 
 
 def test_void_probability_trivials():
