@@ -11,6 +11,7 @@ import sys
 
 from . import harness
 from .harness import ConfigError, ScenarioConfig, VoidAuditError
+from .planner import PLANNER_KINDS
 
 
 BENCH_SIZES = ("particles", "tags", "actions", "horizon")
@@ -18,7 +19,7 @@ BENCH_SIZES = ("particles", "tags", "actions", "horizon")
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON scenario config (defaults used when omitted)")
-    sub.add_argument("--planner", choices=["lavapilot", "renyi", "shannon"],
+    sub.add_argument("--planner", choices=PLANNER_KINDS,
                      help="override the configured planner")
     sub.add_argument("--void", choices=["on", "off"],
                      help="override the void constraint (off emulates r_min = 0.001 m)")
@@ -100,7 +101,7 @@ def _cmd_bench(args) -> int:
     results = harness.bench_planners(args.reps, seed=args.seed, **sizes)
     print(f"{'planner':<10} {'mean (s)':>10} {'min (s)':>10} {'max (s)':>10} "
           f"{'median (s)':>11} {'lik calls':>10}")
-    for kind in ("lavapilot", "renyi", "shannon"):
+    for kind in PLANNER_KINDS:
         r = results[kind]
         print(f"{kind:<10} {r['mean_s']:>10.4f} {r['min_s']:>10.4f} {r['max_s']:>10.4f} "
               f"{r['median_s']:>11.4f} {r['likelihood_calls']:>10d}")

@@ -62,10 +62,13 @@ class ScenarioConfig:
     kinematics: UavKinematics = field(default_factory=UavKinematics)
 
     def __post_init__(self):
-        if self.uav_start_xy is None:
-            object.__setattr__(self, "uav_start_xy", tuple(map(float, self.area.center)))
-        if self.tag_positions is not None:  # tuples: no in-place edit skips validate()
-            object.__setattr__(self, "tag_positions", tuple(map(tuple, self.tag_positions)))
+        # (x, y) pairs of floats: they compare and hash as values, no in-place edit skips
+        # validate(), and a point of any other length is rejected here, not in the mission
+        start = self.area.center if self.uav_start_xy is None else self.uav_start_xy
+        object.__setattr__(self, "uav_start_xy", _xy("uav_start", start))
+        if self.tag_positions is not None:
+            object.__setattr__(self, "tag_positions", tuple(
+                _xy(f"tag_positions[{i}]", p) for i, p in enumerate(self.tag_positions)))
         if self.tag_frequencies_mhz is not None:
             object.__setattr__(self, "tag_frequencies_mhz", tuple(self.tag_frequencies_mhz))
         self.validate()
@@ -260,6 +263,15 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+def _xy(key: str, point) -> tuple[float, float]:
+    """`point` as an (x, y) pair of floats, else a ConfigError naming `key`."""
+    try:
+        x, y = map(float, point)
+    except (TypeError, ValueError):  # not iterable, not two entries, or not numbers
+        raise ConfigError(f"{key} must be an (x, y) pair, got {point!r}") from None
+    return x, y
+
+
 def _checked(key: str, value, default, kind: str | None):
     """`value` as the type of `default` (or as the list `kind`), else a ConfigError."""
     if value is None and default is None:
@@ -444,7 +456,8 @@ def run_mission(cfg: ScenarioConfig) -> MissionRecord:
     # draw thread they page-faulted over three times as often.
     draws = ThreadPoolExecutor(max_workers=1)
     try:
-        buffers = itertools.cycle([np.empty((cfg.tracker.num_particles, 3)) for _ in range(2)])
+        shape = (cfg.tracker.num_particles, len(filter_dyn.q_diag))
+        buffers = itertools.cycle([np.empty(shape) for _ in range(2)])
 
         def draw_noise(j):
             return draws.submit(filt_rngs[j].standard_normal, out=next(buffers))
@@ -617,16 +630,22 @@ class McSummary:
         }
 
 
+def _counts(*checks) -> list[int]:
+    """Each (name, value, least) value as an int, else a ConfigError naming it: an
+    integer (a numpy integer too) of at least `least`, not a bool or a whole float."""
+    for name, value, least in checks:
+        if not (is_count(value) and value >= least):
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return [int(value) for _, value, _ in checks]
+
+
 def run_montecarlo(cfg: ScenarioConfig, trials: int, parallelism: int = 1) -> McSummary:
     """Run independently seeded trials and aggregate the metric suite.
 
     Results are identical for any parallelism degree: trial seeds derive from
     (seed, trial index) and aggregation runs in trial order.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    trials, parallelism = _counts(("trials", trials, 1), ("parallelism", parallelism, 1))
     trial_cfgs = [replace(cfg, seed=s) for s in derive_trial_seeds(cfg.seed, trials)]
     workers = min(parallelism, trials)  # the pool forks every worker up front
     if workers > 1:
@@ -704,18 +723,16 @@ def bench_planners(repetitions: int, particles: int = tracker_mod.TrackerConfig.
     The sizes default to the default scenario's; a size or a seed out of range is a
     ConfigError.
     """
-    for name, value, least in (("repetitions", repetitions, 10), ("particles", particles, 1),
-                               ("tags", tags, 1), ("actions", actions, 3), ("horizon", horizon, 1),
-                               ("seed", seed, 0)):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    repetitions, particles, tags, actions, horizon, seed = _counts(
+        ("repetitions", repetitions, 10), ("particles", particles, 1), ("tags", tags, 1),
+        ("actions", actions, 3), ("horizon", horizon, 1), ("seed", seed, 0))
     rf_cfg = rf_mod.PropagationConfig()
     beliefs, uav, area = _bench_snapshot(particles, tags, seed, rf_cfg.wavelength)
     kin = UavKinematics()
     void_cfg = planner_mod.VoidConfig(horizon=horizon, action_count=actions)
     out = {"meta": {"particles": particles, "tags": tags, "actions": actions,
                     "horizon": horizon, "repetitions": repetitions, "seed": seed}}
-    for kind_name in ("lavapilot", "renyi", "shannon"):
+    for kind_name in planner_mod.PLANNER_KINDS:
         kind = planner_mod.PlannerKind(kind=kind_name)
         rf_mod.reset_likelihood_calls()
         times = []

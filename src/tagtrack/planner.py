@@ -24,6 +24,7 @@ from . import rf, tracker
 from .world import Area, Rollout, UavKinematics, UavState, is_count, uav_rollout
 
 
+PLANNER_KINDS = ("lavapilot", "renyi", "shannon")  # the kinds PlannerKind accepts
 GATE_ROW_BLOCK = 2048  # rows of the void gate's dy² work block (176 kB at H = 11)
 
 
@@ -53,12 +54,12 @@ class VoidConfig:
 
 @dataclass(frozen=True)
 class PlannerKind:
-    kind: str = "lavapilot"  # "lavapilot" | "renyi" | "shannon"
+    kind: str = "lavapilot"  # one of PLANNER_KINDS
     alpha: float = 0.5
     void_enabled: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("lavapilot", "renyi", "shannon"):
+        if self.kind not in PLANNER_KINDS:
             raise ValueError(f"unknown planner kind: {self.kind}")
         if self.kind == "renyi" and not (0.0 < self.alpha < math.inf and self.alpha != 1.0):
             raise ValueError("renyi alpha must lie in (0,1) or (1,inf)")

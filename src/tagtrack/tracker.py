@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rf
-from .world import Area, TargetDynamics, UavState, is_count
+from .world import Area, TargetDynamics, UavState, is_count, random_walk
 
 
 @dataclass(frozen=True)
@@ -104,26 +104,10 @@ def predict(
     noise: np.ndarray,
     area: Area,
 ) -> ObjectBelief:
-    """Propagate every particle through the random-walk transition; weights unchanged.
-
-    `noise` is an (N, 3) block of standard normals as `rng.standard_normal((N, 3))`
-    draws them; the new particles then match `area.clamp` of the x and y columns of
-    `pts + random_walk_displacements(N, dyn, rng)` bit for bit. Only columns 0 and 1
-    are read (TargetDynamics rejects z noise): the third keeps each generator's
-    stream as it was. The result is a fresh (N, 2) array; the block is not kept.
-    """
-    old = belief.particles
-    n = len(old)
-    if noise.shape != (n, 3):
-        raise ValueError(f"noise block has shape {noise.shape}, expected {(n, 3)}")
-    pts = np.empty((n, 2))
-    # column by column: numpy loops over an (N, 2) array two elements at a time
-    for axis in (0, 1):
-        col = np.multiply(noise[:, axis], np.sqrt(dyn.q_diag[axis]), out=pts[:, axis])
-        col += old[:, axis]
-    np.clip(pts[:, 0], area.x_min, area.x_max, out=pts[:, 0])
-    np.clip(pts[:, 1], area.y_min, area.y_max, out=pts[:, 1])
-    return replace(belief, particles=pts)
+    """Propagate every particle through the targets' own transition, `world.random_walk`,
+    with one row of the standard-normal block `noise` per particle; weights unchanged.
+    The block is not kept."""
+    return replace(belief, particles=random_walk(belief.particles, dyn, noise, area))
 
 
 def update(

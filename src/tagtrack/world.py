@@ -137,20 +137,34 @@ class TargetDynamics:
             raise ValueError("z-axis process noise must be zero (targets stay at fixed height)")
 
 
-def random_walk_displacements(n: int, dyn: TargetDynamics, rng: np.random.Generator) -> np.ndarray:
-    """Draw n zero-mean Gaussian displacement vectors with covariance diag(q_diag)."""
-    return rng.normal(size=(n, 3)) * np.sqrt(dyn.q_diag)
+def random_walk(xy: np.ndarray, dyn: TargetDynamics, noise: np.ndarray, area: Area) -> np.ndarray:
+    """One random-walk step of the (n, 2) points `xy`, clamped to the mission area: each
+    point moves by its row of the (n, len(dyn.q_diag)) standard-normal block `noise`
+    times the per-axis standard deviations, x and y only (z has zero variance; its
+    column keeps each generator's stream whole). Returns a fresh (n, 2) array. The
+    clip keeps a value equal to a bound as it is: a -0.0 on a 0.0 edge stays -0.0,
+    where `area.clamp` returns the bound."""
+    shape = (len(xy), len(dyn.q_diag))
+    if noise.shape != shape:
+        raise ValueError(f"noise block has shape {noise.shape}, expected {shape}")
+    out = np.empty((shape[0], 2))
+    # column by column: numpy loops over an (n, 2) array two elements at a time
+    for axis, lo, hi in ((0, area.x_min, area.x_max), (1, area.y_min, area.y_max)):
+        col = np.multiply(noise[:, axis], np.sqrt(dyn.q_diag[axis]), out=out[:, axis])
+        col += xy[:, axis]
+        np.clip(col, lo, hi, out=col)
+    return out
 
 
 def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area) -> np.ndarray:
     """Advance every target one step of its random walk, clamped to the mission area.
 
-    `xy` holds the (T, 2) horizontal target positions; target j draws its (1, 3)
-    displacement from rngs[j], in target order, and keeps the x and y columns (the
-    z column is zero: targets stay at their fixed height). Returns a fresh (T, 2) array.
+    `xy` holds the (T, 2) horizontal target positions; target j draws its noise row
+    from rngs[j], in target order (targets stay at their fixed height). Returns a
+    fresh (T, 2) array.
     """
-    step = np.concatenate([random_walk_displacements(1, dyn, rng) for rng in rngs])
-    return area.clamp(xy + step[:, :2])
+    noise = np.concatenate([rng.normal(size=(1, len(dyn.q_diag))) for rng in rngs])
+    return random_walk(xy, dyn, noise, area)
 
 
 @lru_cache(maxsize=64)  # a mission reuses a profile within a few decisions; more only grows RSS

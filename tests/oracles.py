@@ -107,6 +107,13 @@ def trajectory_void_brute(belief_arrays, poses_xy, r_min):
     return best
 
 
+def random_walk_displacements(n: int, dyn, rng: np.random.Generator) -> np.ndarray:
+    """n zero-mean Gaussian displacement rows with covariance diag(dyn.q_diag), drawn as
+    one (n, len(q_diag)) block and scaled as a whole: the random-walk step that
+    world.random_walk takes column by column, which must match it bit for bit."""
+    return rng.normal(size=(n, len(dyn.q_diag))) * np.sqrt(dyn.q_diag)
+
+
 def dyadic_weights(rng: np.random.Generator, n: int, denom_pow: int = 10) -> np.ndarray:
     """Random weights that are exact binary fractions summing to exactly 1.0."""
     denom = 2 ** denom_pow

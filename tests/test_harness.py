@@ -225,6 +225,35 @@ def test_configs_compare_as_values():
     assert cfg != replace(cfg, filter_dynamics=world.TargetDynamics(q_diag=(2.0, 3.0, 0.0)))
 
 
+def test_start_given_as_a_list_is_the_same_value_as_the_default():
+    cfg = ScenarioConfig(uav_start_xy=[500.0, 500.0])
+    assert cfg == ScenarioConfig() and hash(cfg) == hash(ScenarioConfig())
+    assert type(cfg.uav_start_xy) is tuple and all(type(v) is float for v in cfg.uav_start_xy)
+
+
+def test_start_cannot_be_edited_after_the_check():
+    cfg = ScenarioConfig(uav_start_xy=[500.0, 500.0])
+    with pytest.raises(TypeError):
+        cfg.uav_start_xy[0] = -5.0  # would start the mission outside the area
+    assert cfg.uav_start_xy == (500.0, 500.0)
+
+
+def test_start_given_as_an_array_compares_as_a_value():
+    cfg = ScenarioConfig(uav_start_xy=np.array([100.0, 200.0]))
+    assert cfg == ScenarioConfig(uav_start_xy=(100, 200)) != ScenarioConfig()
+
+
+@pytest.mark.parametrize("kw, key", [
+    ({"uav_start_xy": (1.0,)}, "uav_start"),
+    ({"uav_start_xy": (1.0, 2.0, 3.0)}, "uav_start"),
+    ({"num_tags": 1, "tag_positions": [(1.0, 2.0, 3.0)]}, r"tag_positions\[0\]"),
+    ({"num_tags": 2, "tag_positions": [(1.0, 2.0), 5.0]}, r"tag_positions\[1\]"),
+], ids=["start_one_entry", "start_three_entries", "tag_three_entries", "tag_scalar"])
+def test_a_point_that_is_not_an_xy_pair_is_a_config_error(kw, key):
+    with pytest.raises(harness.ConfigError, match=f"^{key} must be an \\(x, y\\) pair"):
+        ScenarioConfig(**kw)
+
+
 def test_step_period_has_one_owner():
     """The JSON key and the library API set the one period both the loop and the planner
     read, so the two configs fly the same mission and echo the same period."""
@@ -514,6 +543,24 @@ def test_montecarlo_pool_size_bounded_by_trials(monkeypatch):
     assert sizes == [2, 2]
 
 
+@pytest.mark.parametrize("kw, name", [
+    ({"trials": 2.5}, "trials"), ({"trials": True}, "trials"),
+    ({"trials": 2, "parallelism": 1.5}, "parallelism"),
+    ({"trials": 2, "parallelism": False}, "parallelism"),
+], ids=["fractional_trials", "bool_trials", "fractional_parallelism", "bool_parallelism"])
+def test_montecarlo_counts_must_be_integers(kw, name):
+    with pytest.raises(harness.ConfigError, match=f"^{name} must be an integer >= 1"):
+        harness.run_montecarlo(small_config(max_flight_time=10.0), **kw)
+
+
+def test_montecarlo_stores_numpy_integer_counts_as_ints(tmp_path):
+    cfg = small_config(max_flight_time=10.0,
+                       tracker=tracker.TrackerConfig(num_particles=100, sigma_min=35.0))
+    mc = harness.run_montecarlo(cfg, trials=np.int64(1), parallelism=np.int64(1))
+    assert type(mc.trials) is int
+    harness.export_mc(mc, cfg, str(tmp_path))  # JSON takes no numpy integer
+
+
 def test_no_thread_outlives_mission(monkeypatch):
     cfg = small_config(max_flight_time=30.0)
     before = threading.active_count()
@@ -759,6 +806,18 @@ def test_void_disabled_uses_tiny_radius():
 def test_bench_requires_ten_reps():
     with pytest.raises(harness.ConfigError):
         harness.bench_planners(5)
+
+
+@pytest.mark.parametrize("args, kw, name", [
+    ((10.5,), {}, "repetitions"), ((True,), {}, "repetitions"),
+    ((10,), {"particles": 25.5}, "particles"), ((10,), {"tags": 2.5}, "tags"),
+    ((10,), {"actions": 3.5}, "actions"), ((10,), {"horizon": 2.0}, "horizon"),
+    ((10,), {"seed": 1.5}, "seed"),
+], ids=["fractional_repetitions", "bool_repetitions", "particles", "tags", "actions",
+        "horizon", "seed"])
+def test_bench_sizes_must_be_integers(args, kw, name):
+    with pytest.raises(harness.ConfigError, match=f"^{name} must be an integer >= "):
+        harness.bench_planners(*args, **kw)
 
 
 def test_bench_output_shape():

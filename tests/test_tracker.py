@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from tagtrack import planner, rf, tracker
-from tagtrack.world import (Area, TargetDynamics, UavKinematics, UavState,
-                            random_walk_displacements)
+from tagtrack.world import Area, TargetDynamics, UavKinematics, UavState
 
-from oracles import dyadic_weights, posterior_weights_mpmath, weighted_sigma_mpmath
+from oracles import (dyadic_weights, posterior_weights_mpmath, random_walk_displacements,
+                     weighted_sigma_mpmath)
 
 
 WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use

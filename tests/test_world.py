@@ -9,13 +9,13 @@ from tagtrack.world import (
     TargetDynamics,
     UavKinematics,
     UavState,
-    random_walk_displacements,
+    random_walk,
     target_step,
     uav_rollout,
     wrap_heading,
 )
 
-from oracles import rollout_positions_oracle
+from oracles import random_walk_displacements, rollout_positions_oracle
 
 KIN = UavKinematics(v_max=5.0, accel=2.5, altitude=30.0)
 WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
@@ -174,8 +174,8 @@ def test_target_step_deterministic():
 
 
 def test_target_step_draws_each_target_from_its_own_generator():
-    # all targets in one call equal one call per target: target j draws its (1, 3)
-    # block from rngs[j], in target order, and keeps the x and y columns
+    # all targets in one call equal one call per target: target j draws its
+    # (1, len(q_diag)) row from rngs[j], in target order, and moves by its x and y entries
     dyn = TargetDynamics(q_diag=np.array([4.0, 9.0, 0.0]))
     area = Area(0.0, 100.0, 0.0, 100.0)
     xy = np.array([[10.0, 20.0], [99.0, 1.0], [50.0, 50.0]])
@@ -187,6 +187,44 @@ def test_target_step_draws_each_target_from_its_own_generator():
         want = area.clamp(xy[j] + random_walk_displacements(1, dyn, single[j])[0, :2])
         assert np.array_equal(out[j], want)
         assert batched[j].bit_generator.state == single[j].bit_generator.state
+
+
+def test_random_walk_matches_the_displacement_oracle_at_and_beyond_the_edges():
+    # the one transition of the true tags and the particles: the oracle scales the whole
+    # drawn block at once, random_walk one column at a time, and both clamp to the area
+    area = Area(0.0, 100.0, -50.0, 50.0)
+    rng = np.random.default_rng(12)
+    xy = np.column_stack([rng.uniform(-20.0, 120.0, 400), rng.uniform(-70.0, 70.0, 400)])
+    xy[:40, 0] = 0.0  # on the edges
+    xy[40:80, 1] = 50.0
+    xy[80:90, 0] = -0.0  # a signed zero on the x_min = 0.0 edge
+    xy[90:100] = (130.0, -90.0)  # beyond two edges at once
+    before = xy.copy()
+    for q_diag in ((4.0, 0.25, 0.0), (9.0, 0.0, 0.0), (0.0, 0.0, 0.0)):
+        dyn = TargetDynamics(q_diag=q_diag)
+        noise = np.random.default_rng(3).normal(size=(400, len(q_diag)))
+        drawn = noise.copy()
+        out = random_walk(xy, dyn, noise, area)
+        step = random_walk_displacements(400, dyn, np.random.default_rng(3))
+        want = area.clamp(xy + step[:, :2])
+        assert out.shape == (400, 2) and out.flags.c_contiguous
+        assert np.array_equal(out, want) and all(area.contains(p) for p in out)
+        # bit for bit, but for one sign: with a zero x variance, -0.0 plus a negative
+        # normal's -0.0 stays on the 0.0 edge as -0.0, as predict always kept it, where
+        # area.clamp's broadcast bounds return the bound's +0.0
+        kept = np.zeros(out.shape, dtype=bool)
+        if q_diag[0] == 0.0:
+            kept[80:90, 0] = noise[80:90, 0] < 0.0
+            assert kept.any() and np.signbit(out[kept]).all() and not np.signbit(want[kept]).any()
+        assert out[~kept].tobytes() == want[~kept].tobytes()
+        assert np.array_equal(xy, before) and np.array_equal(noise, drawn)  # inputs unwritten
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (10, 2), (10, 4), (30,)],
+                         ids=["short", "two_columns", "four_columns", "flat"])
+def test_random_walk_rejects_a_block_that_is_not_one_row_per_point(shape):
+    with pytest.raises(ValueError, match=r"noise block has shape .* expected \(10, 3\)"):
+        random_walk(np.zeros((10, 2)), TargetDynamics(), np.zeros(shape), WIDE)
 
 
 def test_target_step_statistics():
