@@ -7,6 +7,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -67,10 +68,11 @@ class ScenarioConfig:
         start = self.area.center if self.uav_start_xy is None else self.uav_start_xy
         object.__setattr__(self, "uav_start_xy", _xy("uav_start", start))
         if self.tag_positions is not None:
-            object.__setattr__(self, "tag_positions", tuple(
-                _xy(f"tag_positions[{i}]", p) for i, p in enumerate(self.tag_positions)))
+            object.__setattr__(self, "tag_positions",
+                               _each("tag_positions", self.tag_positions, _xy))
         if self.tag_frequencies_mhz is not None:
-            object.__setattr__(self, "tag_frequencies_mhz", tuple(self.tag_frequencies_mhz))
+            object.__setattr__(self, "tag_frequencies_mhz",
+                               _each("tag_frequencies_mhz", self.tag_frequencies_mhz, _number))
         self.validate()
         for name in ("num_tags", "seed"):  # a numpy integer is stored as int, as JSON needs
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -258,18 +260,25 @@ _JSON_TYPES = {bool: "true or false", int: "an integer", str: "a string"}
 
 
 def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _xy(key: str, point) -> tuple[float, float]:
-    """`point` as an (x, y) pair of floats, else a ConfigError naming `key`."""
+    """`point` as an (x, y) pair of finite floats, else a ConfigError naming `key`."""
     try:
-        x, y = map(float, point)
-    except (TypeError, ValueError):  # not iterable, not two entries, or not numbers
+        x, y = point
+    except (TypeError, ValueError):  # not iterable, or not two entries
         raise ConfigError(f"{key} must be an (x, y) pair, got {point!r}") from None
-    return x, y
+    return _number(f"{key}[0]", x), _number(f"{key}[1]", y)
+
+
+def _each(key: str, values, check) -> tuple:
+    """`check(f"{key}[i]", v)` of each entry v of `values`, else a ConfigError naming `key`."""
+    if not np.iterable(values):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple(check(f"{key}[{i}]", v) for i, v in enumerate(values))
 
 
 def _checked(key: str, value, default, kind: str | None):
@@ -285,7 +294,7 @@ def _checked(key: str, value, default, kind: str | None):
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
     if kind == _NUMBERS:
-        return [_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
+        return _each(key, value, _number)
     for i, pair in enumerate(value):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"{key}[{i}] must be a [number, number] pair, got {pair!r}")

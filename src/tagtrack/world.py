@@ -37,11 +37,15 @@ class Area:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
     def clamp(self, xy) -> np.ndarray:
-        """Clip a 2D point (or an (..., 2) array of points) into the rectangle."""
+        """A 2D point (or an (..., 2) array of points) clipped into the rectangle, as a
+        fresh array of its shape: x against x_min/x_max and y against y_min/y_max, each
+        with scalar bounds. A value equal to a bound keeps its sign of zero (a -0.0 on a
+        0.0 edge stays -0.0), as IEEE comparisons leave it."""
         pts = np.asarray(xy, dtype=float)
-        lo = np.array([self.x_min, self.y_min])
-        hi = np.array([self.x_max, self.y_max])
-        return np.clip(pts, lo, hi)
+        out = np.empty(np.broadcast_shapes(pts.shape, (2,)))  # any other last axis raises
+        np.clip(pts[..., 0], self.x_min, self.x_max, out=out[..., 0])
+        np.clip(pts[..., 1], self.y_min, self.y_max, out=out[..., 1])
+        return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points uniformly over the rectangle, shape (n, 2)."""
@@ -138,22 +142,21 @@ class TargetDynamics:
 
 
 def random_walk(xy: np.ndarray, dyn: TargetDynamics, noise: np.ndarray, area: Area) -> np.ndarray:
-    """One random-walk step of the (n, 2) points `xy`, clamped to the mission area: each
-    point moves by its row of the (n, len(dyn.q_diag)) standard-normal block `noise`
-    times the per-axis standard deviations, x and y only (z has zero variance; its
-    column keeps each generator's stream whole). Returns a fresh (n, 2) array. The
-    clip keeps a value equal to a bound as it is: a -0.0 on a 0.0 edge stays -0.0,
-    where `area.clamp` returns the bound."""
+    """One random-walk step of the (n, 2) points `xy`: each point moves by its row of the
+    (n, len(dyn.q_diag)) standard-normal block `noise` times the per-axis standard
+    deviations, x and y only (z has zero variance; its column keeps each generator's
+    stream whole), then clipped into the mission area by `area.clamp`, the rule of every
+    position: each axis against its own bounds, and a value equal to a bound is kept, so
+    a -0.0 on a 0.0 edge stays -0.0. Returns a fresh (n, 2) array."""
     shape = (len(xy), len(dyn.q_diag))
     if noise.shape != shape:
         raise ValueError(f"noise block has shape {noise.shape}, expected {shape}")
     out = np.empty((shape[0], 2))
     # column by column: numpy loops over an (n, 2) array two elements at a time
-    for axis, lo, hi in ((0, area.x_min, area.x_max), (1, area.y_min, area.y_max)):
+    for axis in (0, 1):
         col = np.multiply(noise[:, axis], np.sqrt(dyn.q_diag[axis]), out=out[:, axis])
         col += xy[:, axis]
-        np.clip(col, lo, hi, out=col)
-    return out
+    return area.clamp(out)
 
 
 def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area) -> np.ndarray:

@@ -114,6 +114,18 @@ def random_walk_displacements(n: int, dyn, rng: np.random.Generator) -> np.ndarr
     return rng.normal(size=(n, len(dyn.q_diag))) * np.sqrt(dyn.q_diag)
 
 
+def clamp(points, area) -> np.ndarray:
+    """`points` (..., 2) clipped into `area` by IEEE comparisons, axis by axis: a value
+    below its lower bound becomes that bound, one above its upper bound becomes that
+    bound, and any other value (a NaN, or a zero of either sign on a zero bound) is kept."""
+    pts = np.asarray(points, dtype=float)
+    out = np.empty(pts.shape)
+    for axis, lo, hi in ((0, area.x_min, area.x_max), (1, area.y_min, area.y_max)):
+        x = pts[..., axis]
+        out[..., axis] = np.where(x < lo, lo, np.where(x > hi, hi, x))
+    return out
+
+
 def dyadic_weights(rng: np.random.Generator, n: int, denom_pow: int = 10) -> np.ndarray:
     """Random weights that are exact binary fractions summing to exactly 1.0."""
     denom = 2 ** denom_pow

@@ -254,6 +254,26 @@ def test_a_point_that_is_not_an_xy_pair_is_a_config_error(kw, key):
         ScenarioConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, key, what", [
+    ({"tag_positions": 5}, "tag_positions", "a list"),
+    ({"tag_frequencies_mhz": 433.0}, "tag_frequencies_mhz", "a list"),
+    ({"tag_frequencies_mhz": ["a"]}, r"tag_frequencies_mhz\[0\]", "a finite number"),
+    ({"uav_start_xy": ("500", "500")}, r"uav_start\[0\]", "a finite number"),
+    ({"uav_start_xy": (500.0, NAN)}, r"uav_start\[1\]", "a finite number"),
+    ({"tag_positions": [(1.0, True)]}, r"tag_positions\[0\]\[1\]", "a finite number"),
+], ids=["positions_number", "frequencies_number", "frequency_string", "start_strings",
+        "start_nan", "position_bool"])
+def test_a_value_given_in_code_is_checked_as_in_json(kw, key, what):
+    with pytest.raises(harness.ConfigError, match=f"^{key} must be {what}, got "):
+        ScenarioConfig(num_tags=1, **kw)
+
+
+def test_frequencies_given_as_an_array_are_stored_as_floats():
+    cfg = ScenarioConfig(num_tags=2, tag_frequencies_mhz=np.array([433, 434]))
+    assert cfg.tag_frequencies_mhz == (433.0, 434.0)
+    assert all(type(f) is float for f in cfg.tag_frequencies_mhz)
+
+
 def test_step_period_has_one_owner():
     """The JSON key and the library API set the one period both the loop and the planner
     read, so the two configs fly the same mission and echo the same period."""

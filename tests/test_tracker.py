@@ -8,7 +8,7 @@ import pytest
 from tagtrack import planner, rf, tracker
 from tagtrack.world import Area, TargetDynamics, UavKinematics, UavState
 
-from oracles import (dyadic_weights, posterior_weights_mpmath, random_walk_displacements,
+from oracles import (clamp, dyadic_weights, posterior_weights_mpmath, random_walk_displacements,
                      weighted_sigma_mpmath)
 
 
@@ -58,7 +58,7 @@ def test_init_belief_at_draws_a_clamped_blob_around_xy():
     cfg = tracker.TrackerConfig(num_particles=64)
     b = tracker.init_belief_at((98.0, 40.0), 1.5, 3.0, 2.0, cfg, np.random.default_rng(9), area)
     noise = np.random.default_rng(9).normal(scale=3.0, size=(64, 2))
-    assert np.array_equal(b.particles, area.clamp(np.array([98.0, 40.0]) + noise))
+    assert np.array_equal(b.particles, clamp(np.array([98.0, 40.0]) + noise, area))
     assert (b.particles[:, 0] == 100.0).any()  # the clamp was needed
     assert (b.height, b.wavelength) == (1.5, 2.0)
     assert np.array_equal(b.weights, np.full(64, 1.0 / 64))
@@ -106,7 +106,7 @@ def test_predict_matches_clamped_random_walk_bit_for_bit():
     rng_a = np.random.default_rng(8)
     rng_b = copy.deepcopy(rng_a)
     out = tracker.predict(b, dyn, rng_a.standard_normal((n, 3)), area)
-    want = area.clamp(pts + random_walk_displacements(n, dyn, rng_b)[:, :2])
+    want = clamp(pts + random_walk_displacements(n, dyn, rng_b)[:, :2], area)
     assert out.particles.shape == (n, 2) and out.particles.flags.c_contiguous
     assert out.particles.tobytes() == want.tobytes()
     assert out.height == 1.5

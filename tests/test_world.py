@@ -15,7 +15,7 @@ from tagtrack.world import (
     wrap_heading,
 )
 
-from oracles import random_walk_displacements, rollout_positions_oracle
+from oracles import clamp, random_walk_displacements, rollout_positions_oracle
 
 KIN = UavKinematics(v_max=5.0, accel=2.5, altitude=30.0)
 WIDE = Area(-1e4, 1e4, -1e4, 1e4)  # contains every point these tests use
@@ -184,7 +184,7 @@ def test_target_step_draws_each_target_from_its_own_generator():
     out = target_step(xy, dyn, batched, area)
     assert out.shape == (3, 2)
     for j in range(3):
-        want = area.clamp(xy[j] + random_walk_displacements(1, dyn, single[j])[0, :2])
+        want = clamp(xy[j] + random_walk_displacements(1, dyn, single[j])[0, :2], area)
         assert np.array_equal(out[j], want)
         assert batched[j].bit_generator.state == single[j].bit_generator.state
 
@@ -206,18 +206,32 @@ def test_random_walk_matches_the_displacement_oracle_at_and_beyond_the_edges():
         drawn = noise.copy()
         out = random_walk(xy, dyn, noise, area)
         step = random_walk_displacements(400, dyn, np.random.default_rng(3))
-        want = area.clamp(xy + step[:, :2])
+        want = clamp(xy + step[:, :2], area)
         assert out.shape == (400, 2) and out.flags.c_contiguous
-        assert np.array_equal(out, want) and all(area.contains(p) for p in out)
-        # bit for bit, but for one sign: with a zero x variance, -0.0 plus a negative
-        # normal's -0.0 stays on the 0.0 edge as -0.0, as predict always kept it, where
-        # area.clamp's broadcast bounds return the bound's +0.0
-        kept = np.zeros(out.shape, dtype=bool)
+        assert all(area.contains(p) for p in out)
+        # bit for bit, signs included: with a zero x variance, -0.0 plus a negative
+        # normal's -0.0 stays on the x_min = 0.0 edge as -0.0
+        assert out.tobytes() == want.tobytes()
         if q_diag[0] == 0.0:
-            kept[80:90, 0] = noise[80:90, 0] < 0.0
-            assert kept.any() and np.signbit(out[kept]).all() and not np.signbit(want[kept]).any()
-        assert out[~kept].tobytes() == want[~kept].tobytes()
+            assert np.signbit(out[80:90, 0]).any()
         assert np.array_equal(xy, before) and np.array_equal(noise, drawn)  # inputs unwritten
+
+
+def test_area_clamp_clips_each_axis_and_keeps_a_zero_on_a_zero_bound():
+    # one rule for every position the simulator keeps in the area: a point, a stack of
+    # points and a column view clip like the IEEE-comparison reference, sign of zero included
+    area = Area(0.0, 100.0, -50.0, -0.0)
+    point = np.array([-0.0, 0.0])  # -0.0 on the 0.0 x_min, +0.0 on the -0.0 y_max
+    pts = np.array([[-0.0, 0.0], [0.0, -0.0], [-3.0, 7.0], [150.0, -80.0], [42.0, -10.0]])
+    before = pts.tobytes()
+    for xy in (point, tuple(point), pts, np.asfortranarray(pts), pts[::2]):
+        out = area.clamp(xy)
+        assert out.shape == np.shape(xy) and out.tobytes() == clamp(xy, area).tobytes()
+    assert np.signbit(area.clamp(point)).tolist() == [True, False]  # both zeros kept
+    assert np.array_equal(area.clamp(pts[2:4]), [[0.0, -0.0], [100.0, -50.0]])
+    assert pts.tobytes() == before  # the input is unwritten
+    with pytest.raises(ValueError):
+        area.clamp(np.zeros((4, 3)))  # no third axis is left unwritten
 
 
 @pytest.mark.parametrize("shape", [(9, 3), (10, 2), (10, 4), (30,)],
