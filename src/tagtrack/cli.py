@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 void audit failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness

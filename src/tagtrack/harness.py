@@ -7,7 +7,6 @@ import csv
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,14 +17,11 @@ import numpy as np
 from . import planner as planner_mod
 from . import rf as rf_mod
 from . import tracker as tracker_mod
-from .world import Area, TargetDynamics, UavKinematics, UavState, is_count, target_step
+from .world import (Area, ConfigError, TargetDynamics, UavKinematics, UavState, _each, _number,
+                    _xy, check_fields, is_count, target_step)
 
 SCHEMA_VERSION = 2
 HEATMAP_BIN_M = 10.0
-
-
-class ConfigError(ValueError):
-    """Invalid scenario configuration."""
 
 
 class VoidAuditError(RuntimeError):
@@ -63,6 +59,10 @@ class ScenarioConfig:
     kinematics: UavKinematics = field(default_factory=UavKinematics)
 
     def __post_init__(self):
+        check_fields(self, _KEYS)
+        if not isinstance(self.filter_dynamics, (TargetDynamics, type(None))):
+            raise ConfigError(f"filter_dynamics must be a TargetDynamics or None, "
+                              f"got {self.filter_dynamics!r}")
         # (x, y) pairs of floats: they compare and hash as values, no in-place edit skips
         # validate(), and a point of any other length is rejected here, not in the mission
         start = self.area.center if self.uav_start_xy is None else self.uav_start_xy
@@ -74,17 +74,12 @@ class ScenarioConfig:
             object.__setattr__(self, "tag_frequencies_mhz",
                                _each("tag_frequencies_mhz", self.tag_frequencies_mhz, _number))
         self.validate()
-        for name in ("num_tags", "seed"):  # a numpy integer is stored as int, as JSON needs
-            object.__setattr__(self, name, int(getattr(self, name)))
 
     def validate(self):
-        if not (is_count(self.num_tags) and self.num_tags >= 1):
+        if self.num_tags < 1:
             raise ConfigError(f"num_tags must be an integer >= 1, got {self.num_tags!r}")
-        if not (is_count(self.seed) and self.seed >= 0):
+        if self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name in ("tag_height", "max_flight_time", "uav_start_heading", "belief_init_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{_KEYS[name]} must be finite, got {getattr(self, name)}")
         if self.tag_height < 0.0:  # the ground plane the two-ray model reflects in
             raise ConfigError(f"{_KEYS['tag_height']} must be non-negative, got {self.tag_height}")
         if self.max_flight_time < 0.0:
@@ -103,9 +98,9 @@ class ScenarioConfig:
             if len(self.tag_frequencies_mhz) != self.num_tags:
                 raise ConfigError("tag_frequencies_mhz length must equal num_tags")
             for i, f in enumerate(self.tag_frequencies_mhz):
-                if not (math.isfinite(f) and f > 0.0):
-                    raise ConfigError(f"{_KEYS['tag_frequencies_mhz']}[{i}] must be finite and "
-                                      f"positive, got {f} MHz")
+                if f <= 0.0:
+                    raise ConfigError(f"{_KEYS['tag_frequencies_mhz']}[{i}] must be positive, "
+                                      f"got {f} MHz")
             carriers = [(f"{_KEYS['tag_frequencies_mhz']}[{i}]", rf_mod.wavelength_from_mhz(f))
                         for i, f in enumerate(self.tag_frequencies_mhz)]
         # the two-ray phase lag is at most (2 pi / wavelength) * 2 * tag height
@@ -132,13 +127,13 @@ class ScenarioConfig:
         key or a value not of its attribute's type is a ConfigError naming the key."""
         base = cls(filter_dynamics=TargetDynamics())  # the defaults, optional section included
         fields = {}
-        _read(d, _SCHEMA, "", base, fields)
+        _read(d, _SCHEMA, "", fields)
         start = fields.pop("uav_start_xy", {})
         for name, value in fields.items():
             if isinstance(value, dict):  # a sub-config: override its defaults
                 try:
                     fields[name] = replace(getattr(base, name), **value)
-                except ValueError as exc:  # a dataclass range check
+                except ValueError as exc:  # a sub-config's type or range check
                     key = _rejected_key(getattr(base, name), name, value)
                     raise ConfigError(f"invalid configuration: {key}: {exc}") from exc
         centre = fields.get("area", base.area).center  # where a coordinate left out stays
@@ -148,7 +143,6 @@ class ScenarioConfig:
 
 # The JSON config schema. Each key names the ScenarioConfig attribute it sets, as
 # "field", "subconfig.field" or "tuple_field.index"; a nested dict is a JSON section.
-# A value's type follows the attribute's default, or its kind in _LISTS.
 _SCHEMA = {
     "seed": "seed",
     "area": {"x_min": "area.x_min", "x_max": "area.x_max",
@@ -179,10 +173,6 @@ _SCHEMA = {
     "kinematics": {"v_max_mps": "kinematics.v_max", "accel_mps2": "kinematics.accel",
                    "altitude_m": "kinematics.altitude"},
 }
-_NUMBERS = "a list of finite numbers"
-_PAIRS = "a list of [number, number] pairs"
-_LISTS = {"tag_positions": _PAIRS, "tag_frequencies_mhz": _NUMBERS, "rf.antenna_table": _PAIRS,
-          "target_dynamics.q_diag": _NUMBERS, "filter_dynamics.q_diag": _NUMBERS}
 _NULLABLE_SECTIONS = ("filter_dynamics",)
 
 
@@ -212,15 +202,14 @@ def _write(cfg: ScenarioConfig, schema: dict) -> dict:
             out[key] = None if absent else _write(cfg, path)
         else:
             value = _get(cfg, path)
-            if value is not None and path in _LISTS:
-                value = np.asarray(value, dtype=float).tolist()
-            out[key] = value
+            out[key] = np.asarray(value).tolist() if isinstance(value, tuple) else value
     return out
 
 
-def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict) -> None:
-    """Check the JSON object `d` against `schema`, collecting each attribute's value
-    in `fields`, and a sub-config field's in `fields[sub-config]`."""
+def _read(d, schema: dict, prefix: str, fields: dict) -> None:
+    """Map the keys of the JSON object `d` through `schema`, collecting each attribute's
+    value in `fields`, and a sub-config field's in `fields[sub-config]`; the values are
+    checked where the configs are made."""
     if not isinstance(d, dict):
         raise ConfigError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {d!r}")
     for key, value in d.items():
@@ -235,9 +224,8 @@ def _read(d, schema: dict, prefix: str, base: ScenarioConfig, fields: dict) -> N
         elif isinstance(path, dict):
             if key in _NULLABLE_SECTIONS:
                 fields.setdefault(key, {})  # present, so built from the defaults
-            _read(value, path, dotted + ".", base, fields)
+            _read(value, path, dotted + ".", fields)
         else:
-            value = _checked(dotted, value, _get(base, path), _LISTS.get(path))
             name, _, attr = path.partition(".")
             target = fields.setdefault(name, {}) if attr else fields
             target[attr or name] = value
@@ -252,54 +240,6 @@ def _rejected_key(default, name: str, value: dict) -> str:
         except ValueError:
             return _KEYS[f"{name}.{attr}"]
     return name
-
-
-# -- input checks: JSON values to attribute types
-
-_JSON_TYPES = {bool: "true or false", int: "an integer", str: "a string"}
-
-
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _xy(key: str, point) -> tuple[float, float]:
-    """`point` as an (x, y) pair of finite floats, else a ConfigError naming `key`."""
-    try:
-        x, y = point
-    except (TypeError, ValueError):  # not iterable, or not two entries
-        raise ConfigError(f"{key} must be an (x, y) pair, got {point!r}") from None
-    return _number(f"{key}[0]", x), _number(f"{key}[1]", y)
-
-
-def _each(key: str, values, check) -> tuple:
-    """`check(f"{key}[i]", v)` of each entry v of `values`, else a ConfigError naming `key`."""
-    if not np.iterable(values):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    return tuple(check(f"{key}[{i}]", v) for i, v in enumerate(values))
-
-
-def _checked(key: str, value, default, kind: str | None):
-    """`value` as the type of `default` (or as the list `kind`), else a ConfigError."""
-    if value is None and default is None:
-        return None
-    if kind is None:
-        if isinstance(default, float):
-            return _number(key, value)  # an integer is a number too
-        if type(value) is not type(default):  # also keeps a bool out of an int
-            raise ConfigError(f"{key} must be {_JSON_TYPES[type(default)]}, got {value!r}")
-        return value
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    if kind == _NUMBERS:
-        return _each(key, value, _number)
-    for i, pair in enumerate(value):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{key}[{i}] must be a [number, number] pair, got {pair!r}")
-    return tuple((_number(f"{key}[{i}][0]", a), _number(f"{key}[{i}][1]", b))
-                 for i, (a, b) in enumerate(value))
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -16,12 +16,12 @@ gated search (`_gated`), so they face the same constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rf, tracker
-from .world import Area, Rollout, UavKinematics, UavState, is_count, uav_rollout
+from .world import Area, Rollout, UavKinematics, UavState, check_fields, uav_rollout
 
 
 PLANNER_KINDS = ("lavapilot", "renyi", "shannon")  # the kinds PlannerKind accepts
@@ -37,19 +37,17 @@ class VoidConfig:
     action_count: int = 12
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0.0 < self.r_min < math.inf:
-            raise ValueError("r_min must be positive and finite")
+        check_fields(self)
+        if self.r_min <= 0.0:
+            raise ValueError("r_min must be positive")
         if not (0.0 <= self.b_min <= 1.0):
             raise ValueError("b_min must lie in [0, 1]")
-        if not (is_count(self.horizon) and self.horizon >= 1):
+        if self.horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
-        if not (is_count(self.action_count) and self.action_count >= 3):
+        if self.action_count < 3:
             raise ValueError("action_count must be an integer >= 3")
-        for name in ("horizon", "action_count"):  # a numpy integer is stored as int
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not 0.0 < self.step_period < math.inf:
-            raise ValueError("step_period must be positive and finite")
+        if self.step_period <= 0.0:
+            raise ValueError("step_period must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,10 @@ class PlannerKind:
     void_enabled: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in PLANNER_KINDS:
             raise ValueError(f"unknown planner kind: {self.kind}")
-        if self.kind == "renyi" and not (0.0 < self.alpha < math.inf and self.alpha != 1.0):
+        if self.kind == "renyi" and not (self.alpha > 0.0 and self.alpha != 1.0):
             raise ValueError("renyi alpha must lie in (0,1) or (1,inf)")
 
 

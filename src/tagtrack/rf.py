@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import UavState
+from .world import UavState, _each, _xy, check_fields
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -68,16 +68,13 @@ class PropagationConfig:
     noise_var: float = 25.0  # dB^2
 
     def __post_init__(self):
-        for name in ("p0_dbm", "path_loss_n", "wavelength", "reflection_gamma",
-                     "rel_permittivity", "antenna_gain_max_db", "antenna_floor", "noise_var"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_fields(self)
         if self.antenna_table is not None:
-            if not len(self.antenna_table) or any(np.shape(r) != (2,) for r in self.antenna_table):
-                raise ValueError("antenna_table must hold at least one (azimuth_rad, gain_db) row, "
-                                 f"got {self.antenna_table}")
-            if not np.all(np.isfinite(self.antenna_table)):
-                raise ValueError(f"antenna_table entries must be finite, got {self.antenna_table}")
+            # a tuple of (azimuth, gain) float pairs: the config hashes as a value
+            table = _each("antenna_table", self.antenna_table, _xy)
+            if not table:
+                raise ValueError("antenna_table must hold at least one (azimuth_rad, gain_db) row")
+            object.__setattr__(self, "antenna_table", table)
         if not (2.0 <= self.path_loss_n <= 4.0):
             raise ValueError(f"path_loss_n must lie in [2, 4], got {self.path_loss_n}")
         if self.noise_var <= 0.0:

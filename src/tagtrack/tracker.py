@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import rf
-from .world import Area, TargetDynamics, UavState, is_count, random_walk
+from .world import Area, TargetDynamics, UavState, check_fields, random_walk
 
 
 @dataclass(frozen=True)
@@ -19,14 +18,13 @@ class TrackerConfig:
     sigma_min: float = 35.0  # meters; localization threshold
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not (is_count(self.num_particles) and self.num_particles >= 1):
+        check_fields(self)
+        if self.num_particles < 1:
             raise ValueError("num_particles must be an integer >= 1")
-        object.__setattr__(self, "num_particles", int(self.num_particles))  # numpy ints too
         if not (0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
-        if not 0.0 < self.sigma_min < math.inf:
-            raise ValueError("sigma_min must be positive and finite")
+        if self.sigma_min <= 0.0:
+            raise ValueError("sigma_min must be positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,13 +4,79 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 EULER_DT_S = 1e-3  # forward-Euler step of the rollout speed profile
+
+
+class ConfigError(ValueError):
+    """Invalid scenario configuration."""
+
+
+def is_count(value) -> bool:
+    """Whether `value` is an integer (a numpy integer too), not a bool or a whole float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(key: str, value) -> float:
+    """`value` as a finite float, else a ConfigError naming `key`: a real number, not a
+    bool."""
+    try:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _xy(key: str, point) -> tuple[float, float]:
+    """`point` as an (x, y) pair of finite floats, else a ConfigError naming `key`."""
+    try:
+        x, y = point
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ConfigError(f"{key} must be an (x, y) pair, got {point!r}") from None
+    return _number(f"{key}[0]", x), _number(f"{key}[1]", y)
+
+
+def _each(key: str, values, check) -> tuple:
+    """`check(f"{key}[i]", v)` of each entry v of `values`, else a ConfigError naming `key`."""
+    if not np.iterable(values):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple(check(f"{key}[{i}]", v) for i, v in enumerate(values))
+
+
+_KINDS = {bool: "true or false", str: "a string"}
+
+
+def check_fields(cfg, keys=None) -> None:
+    """Hold each field of the frozen config dataclass `cfg` as the type of its default:
+    a float field takes a finite real number (an integer too) and stores it as a float,
+    an int field a count and stores it as an int (a numpy integer too, as JSON needs),
+    a tuple field a list of finite real numbers and stores it as a tuple of floats (so
+    the config compares, hashes and pickles as a value, and nothing can edit it), a bool
+    or a str field only its own type, and a sub-config field an instance of its class. A
+    field whose default is None is left to its class. A ConfigError names the field, or
+    its JSON key `keys[name]` when `keys` maps it."""
+    for f in fields(cfg):
+        value, key = getattr(cfg, f.name), (keys or {}).get(f.name, f.name)
+        kind = type(f.default) if f.default_factory is MISSING else f.default_factory
+        if kind is float:
+            object.__setattr__(cfg, f.name, _number(key, value))
+        elif kind is int:
+            if not is_count(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(cfg, f.name, int(value))
+        elif kind is tuple:
+            object.__setattr__(cfg, f.name, _each(key, value, _number))
+        elif kind is not type(None) and not isinstance(value, kind):
+            what = _KINDS.get(kind, f"a {kind.__name__}")
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,10 +89,9 @@ class Area:
     y_max: float = 1000.0
 
     def __post_init__(self):
-        # written so that NaN fails it; an infinite bound fails too
-        if not (-math.inf < self.x_min < self.x_max < math.inf
-                and -math.inf < self.y_min < self.y_max < math.inf):
-            raise ValueError(f"area bounds must be finite with min < max: {self}")
+        check_fields(self)
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError(f"area bounds must have min < max: {self}")
 
     @property
     def center(self) -> np.ndarray:
@@ -36,13 +101,15 @@ class Area:
         x, y = float(xy[0]), float(xy[1])
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
-    def clamp(self, xy) -> np.ndarray:
-        """A 2D point (or an (..., 2) array of points) clipped into the rectangle, as a
-        fresh array of its shape: x against x_min/x_max and y against y_min/y_max, each
-        with scalar bounds. A value equal to a bound keeps its sign of zero (a -0.0 on a
-        0.0 edge stays -0.0), as IEEE comparisons leave it."""
+    def clamp(self, xy, out=None) -> np.ndarray:
+        """A 2D point (or an (..., 2) array of points) clipped into the rectangle, into
+        `out` (which may be `xy` itself) or else a fresh array of its shape: x against
+        x_min/x_max and y against y_min/y_max, each with scalar bounds. A value equal to
+        a bound keeps its sign of zero (a -0.0 on a 0.0 edge stays -0.0), as IEEE
+        comparisons leave it."""
         pts = np.asarray(xy, dtype=float)
-        out = np.empty(np.broadcast_shapes(pts.shape, (2,)))  # any other last axis raises
+        if out is None:
+            out = np.empty(np.broadcast_shapes(pts.shape, (2,)))  # any other last axis raises
         np.clip(pts[..., 0], self.x_min, self.x_max, out=out[..., 0])
         np.clip(pts[..., 1], self.y_min, self.y_max, out=out[..., 1])
         return out
@@ -52,11 +119,6 @@ class Area:
         lo = np.array([self.x_min, self.y_min])
         hi = np.array([self.x_max, self.y_max])
         return rng.uniform(lo, hi, size=(n, 2))
-
-
-def is_count(value) -> bool:
-    """Whether `value` is an integer (a numpy integer too), not a bool or a whole float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def wrap_heading(theta: float) -> float:
@@ -116,11 +178,9 @@ class UavKinematics:
     altitude: float = 30.0
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not (0.0 < self.v_max < math.inf and 0.0 < self.accel < math.inf):
-            raise ValueError("v_max and accel must be positive and finite")
-        if not math.isfinite(self.altitude):
-            raise ValueError("altitude must be finite")
+        check_fields(self)
+        if not (self.v_max > 0.0 and self.accel > 0.0):
+            raise ValueError("v_max and accel must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,14 +190,12 @@ class TargetDynamics:
     q_diag: tuple[float, float, float] = (1.0, 1.0, 0.0)
 
     def __post_init__(self):
-        # a tuple of floats: compares, hashes and pickles as a value, and nothing can edit it
-        q_diag = tuple(map(float, np.ravel(self.q_diag)))
-        if len(q_diag) != 3:
-            raise ValueError(f"q_diag must hold 3 variances (x, y, z), got {len(q_diag)}")
-        object.__setattr__(self, "q_diag", q_diag)
-        if not all(0.0 <= q < math.inf for q in q_diag):
-            raise ValueError("process noise variances must be non-negative and finite")
-        if q_diag[2] != 0.0:
+        check_fields(self)
+        if len(self.q_diag) != 3:
+            raise ValueError(f"q_diag must hold 3 variances (x, y, z), got {len(self.q_diag)}")
+        if min(self.q_diag) < 0.0:
+            raise ValueError("process noise variances must be non-negative")
+        if self.q_diag[2] != 0.0:
             raise ValueError("z-axis process noise must be zero (targets stay at fixed height)")
 
 
@@ -156,7 +214,7 @@ def random_walk(xy: np.ndarray, dyn: TargetDynamics, noise: np.ndarray, area: Ar
     for axis in (0, 1):
         col = np.multiply(noise[:, axis], np.sqrt(dyn.q_diag[axis]), out=out[:, axis])
         col += xy[:, axis]
-    return area.clamp(out)
+    return area.clamp(out, out=out)
 
 
 def target_step(xy: np.ndarray, dyn: TargetDynamics, rngs, area: Area) -> np.ndarray:

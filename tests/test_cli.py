@@ -179,6 +179,19 @@ def test_bad_rf_or_tag_input_exit_code(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"tag_height_m": 10**400}, "tag_height_m must be a finite number"),
+    ({"rf": {"p0_dbm": 10**400}}, "rf.p0_dbm: p0_dbm must be a finite number"),
+    ({"target_dynamics": {"q_diag_m2": [10**400, 1.0, 0.0]}},
+     "target_dynamics.q_diag_m2: q_diag[0] must be a finite number"),
+], ids=["tag_height", "p0_dbm", "q_diag_entry"])
+def test_an_integer_too_large_for_a_float_exit_code(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, **overrides)  # 401 digits, a valid JSON number
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_flags_go_through_the_loader(tmp_path, capsys):
     # a flag is checked with the file's other values: renyi rejects the file's alpha
     config = write_config(tmp_path, planner={"kind": "lavapilot", "alpha": 1.0})

@@ -268,6 +268,27 @@ def test_a_value_given_in_code_is_checked_as_in_json(kw, key, what):
         ScenarioConfig(num_tags=1, **kw)
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: planner.PlannerKind(void_enabled="false"), "void_enabled"),
+    (lambda: planner.VoidConfig(r_min="a"), "r_min"),
+    (lambda: ScenarioConfig(tag_height="1"), "tag_height_m"),
+    (lambda: ScenarioConfig(tag_height=10**401), "tag_height_m"),
+    (lambda: ScenarioConfig(planner="renyi"), "planner"),
+    (lambda: ScenarioConfig(filter_dynamics=(1, 1, 0)), "filter_dynamics"),
+    (lambda: world.TargetDynamics(q_diag=("1", "1", "0")), r"q_diag\[0\]"),
+], ids=["string_bool", "string_radius", "string_height", "huge_integer_height",
+        "planner_kind_name", "dynamics_tuple", "string_variances"])
+def test_a_field_given_in_code_is_checked_as_its_json_key(build, key):
+    with pytest.raises(harness.ConfigError, match=f"^{key} must be "):
+        build()
+
+
+def test_a_config_with_an_antenna_table_hashes_as_a_value():
+    cfg = ScenarioConfig(rf=rf.PropagationConfig(antenna_table=[[0, 1]]))
+    assert hash(cfg) == hash(ScenarioConfig(rf=rf.PropagationConfig(antenna_table=((0.0, 1.0),))))
+    assert cfg.rf.antenna_table == ((0.0, 1.0),)
+
+
 def test_frequencies_given_as_an_array_are_stored_as_floats():
     cfg = ScenarioConfig(num_tags=2, tag_frequencies_mhz=np.array([433, 434]))
     assert cfg.tag_frequencies_mhz == (433.0, 434.0)
